@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     for (EngineKind kind : PaperEngineKinds()) {
       CellResult cell =
           RunCell(kind, qs.queries, w.stream, opts.cell_budget_seconds, opts.batch,
-                  opts.threads, opts.shared_finalize);
+                  opts.threads);
       row.push_back(FormatMs(cell.ms_per_update, cell.partial));
       // The trajectory cell of the shared-finalize lever (DESIGN.md §9):
       // high overlap means many queries share covering-path signatures, so
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
           .Add("exec", opts.batch > 1
                            ? "batch" + std::to_string(opts.batch)
                            : std::string("per-update"))
-          .Add("finalize", std::string(opts.shared_finalize ? "shared" : "per-query"))
+          .Add("finalize", std::string("shared"))
           .Add("overlap", o)
           .Add("updates_per_sec", cell.UpdatesPerSec())
           .Add("updates_applied", static_cast<uint64_t>(cell.updates_applied))
@@ -65,9 +65,9 @@ int main(int argc, char** argv) {
   // the covering-path sharing lever is the trie's prefix clustering. The
   // production regime the shared-finalize planner targets is different: many
   // tenants registering the *same* pattern. |QDB|/T distinct patterns, each
-  // registered by T tenants, batched windows — shared finalization should
-  // collapse final_join_passes by ~T and lift updates/s accordingly, with
-  // byte-identical results (the A/B pair below is the measured proof).
+  // registered by T tenants, batched windows — shared finalization runs one
+  // final-join pass per signature group, so final_join_passes should match a
+  // single tenant's count (DESIGN.md §9.3 has the measured per-query A/B).
   {
     const size_t tenants = 4;
     const size_t tenant_batch = opts.batch > 1 ? opts.batch : 64;
@@ -82,29 +82,26 @@ int main(int argc, char** argv) {
     std::printf("multi-tenant cell: %zu distinct patterns x %zu tenants, "
                 "batch=%zu\n",
                 qs.queries.size(), tenants, tenant_batch);
-    TextTable ttable({"engine", "finalize", "ms/upd", "final joins", "shared"});
+    TextTable ttable({"engine", "ms/upd", "final joins", "shared"});
     for (EngineKind kind : PaperEngineKinds()) {
       if (kind == EngineKind::kGraphDb) continue;  // no final-join stage
-      for (const bool shared : {true, false}) {
-        CellResult cell = RunCell(kind, dup, w.stream, opts.cell_budget_seconds,
-                                  tenant_batch, opts.threads, shared);
-        ttable.AddRow({EngineKindName(kind), shared ? "shared" : "per-query",
-                       FormatMs(cell.ms_per_update, cell.partial),
-                       std::to_string(cell.final_join_passes),
-                       std::to_string(cell.shared_finalize_groups)});
-        BenchLine("fig12e_tenants")
-            .Add("dataset", std::string("snb"))
-            .Add("engine", std::string(EngineKindName(kind)))
-            .Add("exec", "batch" + std::to_string(tenant_batch))
-            .Add("finalize", std::string(shared ? "shared" : "per-query"))
-            .Add("tenants", static_cast<uint64_t>(tenants))
-            .Add("updates_per_sec", cell.UpdatesPerSec())
-            .Add("updates_applied", static_cast<uint64_t>(cell.updates_applied))
-            .Add("partial", static_cast<uint64_t>(cell.partial ? 1 : 0))
-            .Add("final_join_passes", cell.final_join_passes)
-            .Add("shared_finalize_groups", cell.shared_finalize_groups)
-            .Emit();
-      }
+      CellResult cell = RunCell(kind, dup, w.stream, opts.cell_budget_seconds,
+                                tenant_batch, opts.threads);
+      ttable.AddRow({EngineKindName(kind), FormatMs(cell.ms_per_update, cell.partial),
+                     std::to_string(cell.final_join_passes),
+                     std::to_string(cell.shared_finalize_groups)});
+      BenchLine("fig12e_tenants")
+          .Add("dataset", std::string("snb"))
+          .Add("engine", std::string(EngineKindName(kind)))
+          .Add("exec", "batch" + std::to_string(tenant_batch))
+          .Add("finalize", std::string("shared"))
+          .Add("tenants", static_cast<uint64_t>(tenants))
+          .Add("updates_per_sec", cell.UpdatesPerSec())
+          .Add("updates_applied", static_cast<uint64_t>(cell.updates_applied))
+          .Add("partial", static_cast<uint64_t>(cell.partial ? 1 : 0))
+          .Add("final_join_passes", cell.final_join_passes)
+          .Add("shared_finalize_groups", cell.shared_finalize_groups)
+          .Emit();
     }
     std::printf("\n");
     PrintTable(ttable, opts);

@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
     ChurnCellResult cell =
         RunChurnCell(kind, base.queries, pool.queries, w.stream, churn_every,
-                     opts.budget_seconds, opts.batch, opts.threads,
-                     opts.shared_finalize, opts.route_index);
+                     opts.budget_seconds, opts.batch, opts.threads);
     const MixedRunStats& s = cell.stats;
     const double upd_per_sec =
         s.answer_millis <= 0.0 ? 0.0 : s.updates_applied * 1000.0 / s.answer_millis;
@@ -77,7 +76,6 @@ int main(int argc, char** argv) {
         .Add("memory_bytes", static_cast<uint64_t>(s.memory_bytes))
         .Add("final_join_passes", cell.final_join_passes)
         .Add("shared_finalize_groups", cell.shared_finalize_groups)
-        .Add("route_index", static_cast<uint64_t>(opts.route_index ? 1 : 0))
         .Emit();
   }
   std::printf("\n");

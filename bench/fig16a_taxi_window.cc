@@ -56,8 +56,6 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
 
     auto engine = CreateEngine(kind);
-    engine->SetSharedFinalize(opts.shared_finalize);
-    engine->SetRouteIndex(opts.route_index);
     IndexStats index = IndexQueries(*engine, qs.queries);
 
     RunConfig config;

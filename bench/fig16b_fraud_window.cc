@@ -117,8 +117,6 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
 
     auto engine = CreateEngine(kind);
-    engine->SetSharedFinalize(opts.shared_finalize);
-    engine->SetRouteIndex(opts.route_index);
     std::vector<QueryPattern> base;
     for (size_t t = 0; t < teams; ++t)
       for (const QueryPattern& q : shapes) base.push_back(q);

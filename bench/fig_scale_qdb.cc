@@ -5,12 +5,10 @@
 // deployment. Each cell measures updates/s, routed candidate work items per
 // update, prefilter rejects, and engine bytes per query.
 //
-// The two smaller cells run an A/B against the legacy linear dispatch
-// (`SetRouteIndex(false)`): the routed path must keep candidates/update flat
-// (sublinear in |QDB|) while the legacy path scans every registered query per
-// affecting update. The 1M cell runs routed-only — the linear path would not
-// finish any prefix worth reporting within budget — and exists to show the
-// index itself stays inside the bench memory budget.
+// Routing must keep candidates/update flat (sublinear in |QDB|): candidates
+// are signature groups, so tenant duplication adds none. The 1M cell runs on
+// TRIC+ only and exists to show the index itself stays inside the bench
+// memory budget.
 
 #include "bench/harness.h"
 
@@ -29,11 +27,11 @@ int main(int argc, char** argv) {
   struct ScaleCell {
     size_t tenants;
     const char* name;
-    bool legacy_ab;  ///< Also run the pre-index linear dispatch for speedup.
+    bool all_engines;  ///< False: TRIC+ only (the memory-bound cell).
   };
-  // `--tenants=N` replaces the full 10k/100k/1M sweep with one A/B cell at
-  // N tenants — the smoke pass runs a cell small enough to complete inside
-  // its budget (partial cells are excluded from the CI regression gate).
+  // `--tenants=N` replaces the full 10k/100k/1M sweep with one cell at N
+  // tenants — the smoke pass runs a cell small enough to complete inside its
+  // budget (partial cells are excluded from the CI regression gate).
   std::vector<ScaleCell> cells;
   if (opts.tenants > 1) {
     cells.push_back({opts.tenants, "smoke", true});
@@ -52,14 +50,13 @@ int main(int argc, char** argv) {
   qc.avg_size = 3.0;
   // Sparser than the paper baseline (σ=5% vs 25%): at 1M queries the
   // baseline σ would satisfy 250k subscriptions, so notification fan-out —
-  // inherent output volume, identical in both modes — would mask the
-  // dispatch cost this figure isolates.
+  // inherent output volume — would mask the dispatch cost this figure
+  // isolates.
   qc.selectivity = 0.05;
 
   const EngineKind kinds[] = {EngineKind::kTricPlus, EngineKind::kInvPlus};
 
-  TextTable table({"|QDB|", "engine", "mode", "upd/s", "cand/upd", "rejects",
-                   "B/query", "speedup"});
+  TextTable table({"|QDB|", "engine", "upd/s", "cand/upd", "rejects", "B/query"});
 
   for (const ScaleCell& cell : cells) {
     qc.tenants = cell.tenants;
@@ -69,64 +66,35 @@ int main(int argc, char** argv) {
       // The 1M cell runs on the trie engine only: one cell is enough to prove
       // the memory bound, and the recompute baselines' per-query view state
       // dominates the budget well before the routing index does.
-      if (!cell.legacy_ab && kind != EngineKind::kTricPlus) continue;
+      if (!cell.all_engines && kind != EngineKind::kTricPlus) continue;
 
-      CellResult routed =
-          RunCell(kind, qs.queries, w.stream, opts.cell_budget_seconds, batch,
-                  opts.threads, opts.shared_finalize, /*route_index=*/true);
-      const double routed_bpq =
-          qdb == 0 ? 0.0 : static_cast<double>(routed.memory_bytes) / qdb;
+      CellResult r = RunCell(kind, qs.queries, w.stream, opts.cell_budget_seconds,
+                             batch, opts.threads);
+      const double bpq = qdb == 0 ? 0.0 : static_cast<double>(r.memory_bytes) / qdb;
+      char upd[32], cand[32], bytes[32];
+      std::snprintf(upd, sizeof(upd), "%.0f%s", r.UpdatesPerSec(),
+                    r.partial ? "*" : "");
+      std::snprintf(cand, sizeof(cand), "%.1f", r.CandidatesPerUpdate());
+      std::snprintf(bytes, sizeof(bytes), "%.0f", bpq);
+      table.AddRow({std::to_string(qdb), EngineKindName(kind), upd, cand,
+                    std::to_string(r.prefilter_rejects), bytes});
 
-      CellResult legacy;
-      double speedup = 0.0;
-      if (cell.legacy_ab) {
-        legacy =
-            RunCell(kind, qs.queries, w.stream, opts.cell_budget_seconds, batch,
-                    opts.threads, opts.shared_finalize, /*route_index=*/false);
-        if (legacy.UpdatesPerSec() > 0.0)
-          speedup = routed.UpdatesPerSec() / legacy.UpdatesPerSec();
-      }
-
-      auto add_row = [&](const char* mode, const CellResult& r, double bpq,
-                         double spd) {
-        char upd[32], cand[32], bytes[32], spd_buf[32];
-        std::snprintf(upd, sizeof(upd), "%.0f%s", r.UpdatesPerSec(),
-                      r.partial ? "*" : "");
-        std::snprintf(cand, sizeof(cand), "%.1f", r.CandidatesPerUpdate());
-        std::snprintf(bytes, sizeof(bytes), "%.0f", bpq);
-        if (spd > 0.0)
-          std::snprintf(spd_buf, sizeof(spd_buf), "%.1fx", spd);
-        else
-          std::snprintf(spd_buf, sizeof(spd_buf), "-");
-        table.AddRow({std::to_string(qdb), EngineKindName(kind), mode, upd,
-                      cand, std::to_string(r.prefilter_rejects), bytes,
-                      spd_buf});
-
-        BenchLine line("fig_scale");
-        line.Add("dataset", std::string("snb"))
-            .Add("cell", std::string(cell.name))
-            .Add("qdb", static_cast<uint64_t>(qdb))
-            .Add("engine", std::string(EngineKindName(kind)))
-            .Add("mode", std::string(mode))
-            .Add("updates_per_sec", r.UpdatesPerSec())
-            .Add("ms_per_update", r.ms_per_update)
-            .Add("candidates_per_update", r.CandidatesPerUpdate())
-            .Add("routed_candidates", r.routed_candidates)
-            .Add("prefilter_rejects", r.prefilter_rejects)
-            .Add("memory_bytes", static_cast<uint64_t>(r.memory_bytes))
-            .Add("bytes_per_query", bpq)
-            .Add("index_ms_per_query", r.index_stats.MsecPerQuery())
-            .Add("partial", static_cast<uint64_t>(r.partial ? 1 : 0));
-        if (spd > 0.0) line.Add("speedup_vs_legacy", spd);
-        line.Emit();
-      };
-
-      add_row("routed", routed, routed_bpq, speedup);
-      if (cell.legacy_ab) {
-        const double legacy_bpq =
-            qdb == 0 ? 0.0 : static_cast<double>(legacy.memory_bytes) / qdb;
-        add_row("legacy", legacy, legacy_bpq, 0.0);
-      }
+      BenchLine("fig_scale")
+          .Add("dataset", std::string("snb"))
+          .Add("cell", std::string(cell.name))
+          .Add("qdb", static_cast<uint64_t>(qdb))
+          .Add("engine", std::string(EngineKindName(kind)))
+          .Add("mode", std::string("routed"))
+          .Add("updates_per_sec", r.UpdatesPerSec())
+          .Add("ms_per_update", r.ms_per_update)
+          .Add("candidates_per_update", r.CandidatesPerUpdate())
+          .Add("routed_candidates", r.routed_candidates)
+          .Add("prefilter_rejects", r.prefilter_rejects)
+          .Add("memory_bytes", static_cast<uint64_t>(r.memory_bytes))
+          .Add("bytes_per_query", bpq)
+          .Add("index_ms_per_query", r.index_stats.MsecPerQuery())
+          .Add("partial", static_cast<uint64_t>(r.partial ? 1 : 0))
+          .Emit();
       std::printf("  |QDB|=%zu %s done\n", qdb, EngineKindName(kind));
       std::fflush(stdout);
     }

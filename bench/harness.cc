@@ -17,8 +17,7 @@ BenchOptions BenchOptions::FromArgs(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   static const char* kKnown[] = {"full",    "budget-sec", "cell-budget-sec",
                                  "seed",    "csv",        "batch",
-                                 "threads", "no-shared-finalize",
-                                 "no-route-index", "tenants", "help"};
+                                 "threads", "tenants",    "help"};
   bool usage_error = false;
   for (const std::string& name : flags.Names()) {
     if (std::find_if(std::begin(kKnown), std::end(kKnown),
@@ -30,14 +29,11 @@ BenchOptions BenchOptions::FromArgs(int argc, char** argv) {
   if (usage_error || flags.Has("help")) {
     std::fprintf(stderr,
                  "bench flags: --full --budget-sec=S --cell-budget-sec=S "
-                 "--seed=N --csv --batch=N --threads=N --no-shared-finalize "
-                 "--no-route-index --tenants=N\n");
+                 "--seed=N --csv --batch=N --threads=N --tenants=N\n");
     std::exit(usage_error ? 2 : 0);
   }
   BenchOptions opts;
   opts.full = flags.GetBool("full", false);
-  opts.shared_finalize = !flags.GetBool("no-shared-finalize", false);
-  opts.route_index = !flags.GetBool("no-route-index", false);
   opts.budget_seconds =
       flags.GetDouble("budget-sec", opts.full ? 86400.0 : 8.0);
   opts.cell_budget_seconds =
@@ -55,16 +51,13 @@ GrowthSeries RunGrowthSeries(EngineKind kind,
                              const std::vector<QueryPattern>& queries,
                              const UpdateStream& stream,
                              const std::vector<size_t>& checkpoints,
-                             double budget_seconds, size_t batch, int threads,
-                             bool shared_finalize, bool route_index) {
+                             double budget_seconds, size_t batch, int threads) {
   GrowthSeries series;
   series.kind = kind;
   series.segment_ms.assign(checkpoints.size(), std::nan(""));
   series.partial.assign(checkpoints.size(), false);
 
   auto engine = CreateEngine(kind);
-  engine->SetSharedFinalize(shared_finalize);
-  engine->SetRouteIndex(route_index);
   series.index_stats = IndexQueries(*engine, queries);
 
   Budget budget;
@@ -116,12 +109,9 @@ GrowthSeries RunGrowthSeries(EngineKind kind,
 
 CellResult RunCell(EngineKind kind, const std::vector<QueryPattern>& queries,
                    const UpdateStream& stream, double budget_seconds,
-                   size_t batch, int threads, bool shared_finalize,
-                   bool route_index) {
+                   size_t batch, int threads) {
   CellResult cell;
   auto engine = CreateEngine(kind);
-  engine->SetSharedFinalize(shared_finalize);
-  engine->SetRouteIndex(route_index);
   cell.index_stats = IndexQueries(*engine, queries);
   RunConfig config;
   config.budget_seconds = budget_seconds;
@@ -148,12 +138,9 @@ ChurnCellResult RunChurnCell(EngineKind kind,
                              const std::vector<QueryPattern>& base,
                              const std::vector<QueryPattern>& pool,
                              const UpdateStream& stream, size_t churn_every,
-                             double budget_seconds, size_t batch, int threads,
-                             bool shared_finalize, bool route_index) {
+                             double budget_seconds, size_t batch, int threads) {
   ChurnCellResult cell;
   auto engine = CreateEngine(kind);
-  engine->SetSharedFinalize(shared_finalize);
-  engine->SetRouteIndex(route_index);
   cell.initial_index = IndexQueries(*engine, base);
   cell.memory_after_index = engine->MemoryBytes();
 
@@ -239,10 +226,6 @@ void PrintHeader(const std::string& figure, const std::string& caption,
   if (opts.batch > 1)
     std::printf("batched execution: ApplyBatch window=%zu threads=%d\n",
                 opts.batch, opts.threads);
-  if (!opts.shared_finalize)
-    std::printf("shared window finalization DISABLED (per-query passes)\n");
-  if (!opts.route_index)
-    std::printf("query routing index DISABLED (legacy linear dispatch)\n");
   if (opts.tenants > 1)
     std::printf("tenant duplication: %zux (|QDB| scales accordingly)\n",
                 opts.tenants);
@@ -308,8 +291,7 @@ void RunGrowthFigure(const std::string& figure, const std::string& caption,
     std::fflush(stdout);
     GrowthSeries s =
         RunGrowthSeries(kind, qs.queries, w.stream, checkpoints,
-                        opts.budget_seconds, opts.batch, opts.threads,
-                        opts.shared_finalize, opts.route_index);
+                        opts.budget_seconds, opts.batch, opts.threads);
     std::printf(" %zu/%zu updates, %.0f updates/s, %.1f MB, %llu new embeddings\n",
                 s.updates_applied, total_updates, s.UpdatesPerSec(),
                 static_cast<double>(s.memory_bytes) / (1024.0 * 1024.0),

@@ -32,14 +32,6 @@ struct BenchOptions {
   bool csv = false;                  ///< Also print CSV rows.
   size_t batch = 1;                  ///< ApplyBatch window; 1 = per-update.
   int threads = 1;                   ///< Batch shard worker threads.
-  /// Cross-query shared window finalization (DESIGN.md §9); the engines'
-  /// default. `--no-shared-finalize` selects the per-(query, window) passes
-  /// for A/B measurement.
-  bool shared_finalize = true;
-  /// Query routing index (DESIGN.md §12); the engines' default.
-  /// `--no-route-index` selects the legacy linear dispatch for A/B
-  /// measurement.
-  bool route_index = true;
   /// Tenant duplication factor for the query generator (`--tenants=N`,
   /// validated positive): |QDB| = num_queries * tenants.
   size_t tenants = 1;
@@ -91,8 +83,7 @@ GrowthSeries RunGrowthSeries(EngineKind kind,
                              const UpdateStream& stream,
                              const std::vector<size_t>& checkpoints,
                              double budget_seconds, size_t batch = 1,
-                             int threads = 1, bool shared_finalize = true,
-                             bool route_index = true);
+                             int threads = 1);
 
 /// One independent cell: average ms/update over the whole stream (or the
 /// prefix processed within budget — flagged `partial`).
@@ -127,8 +118,7 @@ struct CellResult {
 
 CellResult RunCell(EngineKind kind, const std::vector<QueryPattern>& queries,
                    const UpdateStream& stream, double budget_seconds,
-                   size_t batch = 1, int threads = 1,
-                   bool shared_finalize = true, bool route_index = true);
+                   size_t batch = 1, int threads = 1);
 
 /// One query-churn cell (the dynamic-QDB scenario): `base` queries are
 /// registered up front (timed as the indexing phase, Fig. 13(b) style),
@@ -151,8 +141,7 @@ ChurnCellResult RunChurnCell(EngineKind kind,
                              const std::vector<QueryPattern>& pool,
                              const UpdateStream& stream, size_t churn_every,
                              double budget_seconds, size_t batch = 1,
-                             int threads = 1, bool shared_finalize = true,
-                             bool route_index = true);
+                             int threads = 1);
 
 /// Formats a cell/segment value with the paper's timeout marker.
 std::string FormatMs(double ms, bool partial);

@@ -165,8 +165,7 @@ void RunEngineScale(const BenchOptions& opts) {
   for (EngineKind kind : {EngineKind::kTricPlus, EngineKind::kInvPlus}) {
     CellResult cell = RunCell(kind, queries, wl.stream,
                               opts.cell_budget_seconds * 4, batch,
-                              opts.threads, opts.shared_finalize,
-                              opts.route_index);
+                              opts.threads);
     BenchLine line("micro_sched");
     line.Add("cell", std::string("engine_scale"));
     line.Add("engine", std::string(EngineKindName(kind)));

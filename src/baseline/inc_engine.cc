@@ -19,104 +19,6 @@ UpdateResult IncEngine::ApplyUpdate(const EdgeUpdate& u) {
   return ProcessInsert(u);
 }
 
-UpdateResult IncEngine::ProcessInsert(const EdgeUpdate& u) {
-  UpdateResult result;
-  result.changed = true;
-
-  if (route_enabled() && !prefilter_.MayMatch(u)) {
-    // No registered pattern carries this label, so there is no base view to
-    // append to and no affected query — an O(words) reject on the
-    // sequential path too.
-    NotePrefilterReject();
-    return result;
-  }
-
-  AppendToBaseViews(u);
-
-  const std::vector<QueryId> affected = AffectedQueries(u);
-  NoteRoutedCandidates(affected.size());
-  for (QueryId qid : affected) {
-    if (BudgetExceeded()) {
-      result.timed_out = true;
-      return result;
-    }
-    QueryEntry& entry = queries_.at(qid);
-    const QueryPattern& q = entry.pattern;
-    if (!AllViewsNonEmpty(entry)) continue;
-
-    const size_t num_paths = entry.paths.size();
-    size_t transient_bytes = 0;
-
-    // Which covering paths does the update touch?
-    std::vector<bool> touched(num_paths, false);
-    bool any_touched = false;
-    for (size_t pi = 0; pi < num_paths; ++pi) {
-      for (const auto& pattern : entry.signatures[pi]) {
-        if (pattern.Matches(u)) {
-          touched[pi] = true;
-          any_touched = true;
-          break;
-        }
-      }
-    }
-    if (!any_touched) continue;
-    NoteFinalJoinPass();
-
-    // Seeded deltas for touched paths; lazy INV-style recomputation for the
-    // rest (computed at most once per query per update).
-    std::vector<std::unique_ptr<Relation>> deltas(num_paths);
-    std::vector<std::unique_ptr<Relation>> fulls(num_paths);
-    bool infeasible = false;
-    for (size_t pi = 0; pi < num_paths && !infeasible; ++pi) {
-      if (!touched[pi]) continue;
-      deltas[pi] = MaterializePathDelta(entry, pi, u, IndexSource(), transient_bytes);
-    }
-    auto full_of = [&](size_t pi) -> Relation* {
-      if (fulls[pi] == nullptr)
-        fulls[pi] = MaterializeFullPath(entry, pi, IndexSource(), transient_bytes);
-      return fulls[pi].get();
-    };
-
-    // New assignments (over all query vertices), deduped across seed paths.
-    Relation assignments(static_cast<uint32_t>(q.NumVertices()));
-    for (size_t pi = 0; pi < num_paths && !infeasible; ++pi) {
-      if (!touched[pi] || deltas[pi] == nullptr || deltas[pi]->Empty()) continue;
-      OwnedBindings acc = PathRowsToBindings(AllRows(*deltas[pi]), entry.specs[pi]);
-      for (size_t pj = 0; pj < num_paths && !acc.Empty(); ++pj) {
-        if (pj == pi) continue;
-        Relation* other = full_of(pj);
-        if (other == nullptr) {  // empty path view => query unsatisfiable now
-          infeasible = true;
-          break;
-        }
-        OwnedBindings ob = PathRowsToBindings(AllRows(*other), entry.specs[pj]);
-        acc = JoinBindingRanges(acc.schema, acc.All(), ob.schema, ob.All());
-        if (BudgetExceeded()) {
-          result.timed_out = true;
-          return result;
-        }
-      }
-      if (infeasible || acc.Empty()) continue;
-
-      // Project onto canonical vertex order; dedup across seeds.
-      std::vector<uint32_t> perm(q.NumVertices());
-      for (uint32_t c = 0; c < acc.schema.size(); ++c) perm[acc.schema[c]] = c;
-      std::vector<VertexId> row(q.NumVertices());
-      for (size_t r = 0; r < acc.rows->NumRows(); ++r) {
-        const VertexId* src = acc.rows->Row(r);
-        for (uint32_t v = 0; v < q.NumVertices(); ++v) row[v] = src[perm[v]];
-        // §4.3 extra phase: property constraints on the full assignment.
-        if (!SatisfiesConstraints(q, row.data())) continue;
-        assignments.Append(row.data());
-      }
-    }
-
-    NotePeakTransient(transient_bytes + assignments.MemoryBytes());
-    result.AddQueryCount(qid, assignments.NumRows());
-  }
-  return result;
-}
-
 bool IncEngine::EvaluateWindowSeeded(
     QueryEntry& entry, InvWindowContext& wctx,
     const std::vector<std::pair<uint32_t, const EdgeUpdate*>>& seeds,
@@ -221,57 +123,6 @@ bool IncEngine::EvaluateWindowSeeded(
 
 void IncEngine::FinalizeWindow(WindowContext& ctx, UpdateResult* window_results) {
   InvWindowContext& wctx = static_cast<InvWindowContext&>(ctx);
-  if (route_enabled()) {
-    FinalizeWindowRouted(wctx, window_results);
-    return;
-  }
-  if (wctx.affected.empty()) return;
-  std::sort(wctx.affected.begin(), wctx.affected.end());
-
-  size_t i = 0;
-  while (i < wctx.affected.size()) {
-    const QueryId qid = wctx.affected[i].first;
-    size_t j = i;
-    while (j < wctx.affected.size() && wctx.affected[j].first == qid) ++j;
-
-    if (BudgetExceededNow()) return;  // timeout: partial, flagged by the caller
-
-    // Shared finalization (§9): signature-equal queries share views, seed
-    // positions, and binding specs, so one member's seeded evaluation (its
-    // memoized tag list) serves the whole group.
-    SharedFinalizeMemo* memo = SharedMemoFor(qid, wctx);
-    std::vector<uint64_t> window_key;
-    if (memo != nullptr) {
-      window_key.reserve(j - i);
-      for (size_t k = i; k < j; ++k) window_key.push_back(wctx.affected[k].second);
-      if (memo->evaluated && memo->runtime_key == window_key) {
-        ReplaySharedTags(*memo, qid, window_results);
-        i = j;
-        continue;
-      }
-    }
-
-    // The query's window updates, ascending by position.
-    std::vector<std::pair<uint32_t, const EdgeUpdate*>> seeds;
-    seeds.reserve(j - i);
-    for (size_t k = i; k < j; ++k)
-      seeds.emplace_back(wctx.affected[k].second,
-                         &wctx.window_updates[wctx.affected[k].second - 1]);
-    i = j;
-
-    QueryEntry& entry = queries_.at(qid);
-    bool pass_ran = false;
-    std::vector<uint32_t> tags;
-    if (!EvaluateWindowSeeded(entry, wctx, seeds, SharedGroupSize(qid), pass_ran,
-                              tags))
-      return;
-    if (memo != nullptr) memo->Store(pass_ran, std::move(window_key), &tags);
-    ScatterTagCounts(tags, qid, window_results);
-  }
-}
-
-void IncEngine::FinalizeWindowRouted(InvWindowContext& wctx,
-                                     UpdateResult* window_results) {
   if (wctx.affected_groups.empty()) return;
   std::sort(wctx.affected_groups.begin(), wctx.affected_groups.end());
   const auto& groups = finalize_groups();
@@ -296,33 +147,17 @@ void IncEngine::FinalizeWindowRouted(InvWindowContext& wctx,
     }
     i = j;
 
+    // One seeded evaluation of the representative serves every member
+    // (groups that cannot share are singletons).
     const FinalizeGroup& group = *groups[gid];
-    if (GroupSharingApplies(group)) {
-      // One seeded evaluation of the representative serves every member.
-      QueryEntry& rep = queries_.at(group.members[0]);
-      bool pass_ran = false;
-      std::vector<uint32_t> tags;
-      if (!EvaluateWindowSeeded(rep, wctx, seeds,
-                                static_cast<uint32_t>(group.members.size()),
-                                pass_ran, tags))
-        return;
-      if (pass_ran) NoteSharedGroupPass();
-      if (tags.empty()) continue;
-      for (QueryId qid : group.members) {
-        std::vector<uint32_t> member_tags = tags;
-        ScatterTagCounts(member_tags, qid, window_results);
-      }
-    } else {
-      for (QueryId qid : group.members) {
-        if (BudgetExceededNow()) return;
-        bool pass_ran = false;
-        std::vector<uint32_t> tags;
-        if (!EvaluateWindowSeeded(queries_.at(qid), wctx, seeds,
-                                  /*probe_weight=*/1, pass_ran, tags))
-          return;
-        ScatterTagCounts(tags, qid, window_results);
-      }
-    }
+    bool pass_ran = false;
+    std::vector<uint32_t> tags;
+    if (!EvaluateWindowSeeded(queries_.at(group.members[0]), wctx, seeds,
+                              static_cast<uint32_t>(group.members.size()),
+                              pass_ran, tags))
+      return;
+    if (pass_ran && GroupSharingApplies(group)) NoteSharedGroupPass();
+    for (QueryId qid : group.members) ScatterTagCounts(tags, qid, window_results);
   }
 }
 

@@ -31,27 +31,22 @@ class IncEngine : public InvertedIndexEngineBase {
   UpdateResult ApplyUpdate(const EdgeUpdate& u) override;
 
  protected:
-  UpdateResult ProcessInsert(const EdgeUpdate& u) override;
-
-  /// Window-delta pipeline: one tagged seeded evaluation per (query,
-  /// window) — path deltas batched over every window update, the other
-  /// paths re-materialized once instead of once per update. Routed mode
-  /// (DESIGN.md §12) iterates the window's affected signature *groups* and
-  /// evaluates each group's representative once.
+  /// Window-delta pipeline (single inserts are windows of one): iterates the
+  /// window's affected signature groups (DESIGN.md §12) and runs one tagged
+  /// seeded evaluation of each group's representative — path deltas batched
+  /// over every window update, the other paths re-materialized once instead
+  /// of once per update.
   void FinalizeWindow(WindowContext& ctx, UpdateResult* window_results) override;
 
  private:
-  /// One tagged seeded whole-window evaluation of `entry` (the shared body
-  /// of the legacy and routed FinalizeWindow paths): batched path deltas
-  /// over `seeds`, window-position tag per new assignment. `pass_ran` is
-  /// false when no covering path was touched or a view was empty. Returns
-  /// false on a budget abort (the caller must end the finalize).
+  /// One tagged seeded whole-window evaluation of `entry`: batched path
+  /// deltas over `seeds`, window-position tag per new assignment. `pass_ran`
+  /// is false when no covering path was touched or a view was empty.
+  /// Returns false on a budget abort (the caller must end the finalize).
   bool EvaluateWindowSeeded(
       QueryEntry& entry, InvWindowContext& wctx,
       const std::vector<std::pair<uint32_t, const EdgeUpdate*>>& seeds,
       uint32_t probe_weight, bool& pass_ran, std::vector<uint32_t>& tags);
-
-  void FinalizeWindowRouted(InvWindowContext& wctx, UpdateResult* window_results);
 };
 
 }  // namespace baseline

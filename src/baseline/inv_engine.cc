@@ -82,41 +82,6 @@ UpdateResult InvEngine::ApplyUpdate(const EdgeUpdate& u) {
   return ProcessInsert(u);
 }
 
-UpdateResult InvEngine::ProcessInsert(const EdgeUpdate& u) {
-  UpdateResult result;
-  result.changed = true;
-
-  if (route_enabled() && !prefilter_.MayMatch(u)) {
-    // No registered pattern carries this label, so there is no base view to
-    // append to and no affected query — an O(words) reject on the
-    // sequential path too.
-    NotePrefilterReject();
-    return result;
-  }
-
-  AppendToBaseViews(u);
-
-  const std::vector<QueryId> affected = AffectedQueries(u);
-  NoteRoutedCandidates(affected.size());
-  for (QueryId qid : affected) {
-    if (BudgetExceeded()) {
-      result.timed_out = true;
-      return result;
-    }
-    QueryEntry& entry = queries_.at(qid);
-    uint64_t total = 0;
-    if (!EvaluateQueryTotal(entry, total)) {
-      result.timed_out = true;
-      return result;
-    }
-    if (total == 0) continue;
-    GS_DCHECK(total >= entry.last_count);
-    result.AddQueryCount(qid, total - entry.last_count);
-    entry.last_count = total;
-  }
-  return result;
-}
-
 bool InvEngine::EvaluateWindowTagged(QueryEntry& entry, InvWindowContext& wctx,
                                      uint32_t probe_weight, bool& pass_ran,
                                      std::vector<uint32_t>& tags, uint64_t& total) {
@@ -192,62 +157,6 @@ bool InvEngine::EvaluateWindowTagged(QueryEntry& entry, InvWindowContext& wctx,
 
 void InvEngine::FinalizeWindow(WindowContext& ctx, UpdateResult* window_results) {
   InvWindowContext& wctx = static_cast<InvWindowContext&>(ctx);
-  if (route_enabled()) {
-    FinalizeWindowRouted(wctx, window_results);
-    return;
-  }
-  if (wctx.affected.empty()) return;
-  std::sort(wctx.affected.begin(), wctx.affected.end());
-
-  size_t i = 0;
-  while (i < wctx.affected.size()) {
-    const QueryId qid = wctx.affected[i].first;
-    size_t j = i;
-    while (j < wctx.affected.size() && wctx.affected[j].first == qid) ++j;
-
-    if (BudgetExceededNow()) return;  // timeout: partial, flagged by the caller
-
-    // Shared finalization (§9): signature-equal queries see the same views
-    // and the same affecting positions, so the memoized tag histogram (and
-    // end-of-window total) of the group's first member serves the rest.
-    SharedFinalizeMemo* memo = SharedMemoFor(qid, wctx);
-    std::vector<uint64_t> window_key;
-    if (memo != nullptr) {
-      window_key.reserve(j - i);
-      for (size_t k = i; k < j; ++k) window_key.push_back(wctx.affected[k].second);
-    }
-    i = j;  // positions are implied by the provenance histogram below
-    if (memo != nullptr && memo->evaluated && memo->runtime_key == window_key) {
-      if (memo->total == 0) {  // no-op for every member (see below)
-        if (memo->pass_ran) NoteSharedServed(*memo);
-        continue;
-      }
-      QueryEntry& entry = queries_.at(qid);
-      // Assignments predating the window are exactly the ones this member's
-      // previous evaluations already counted — same invariant as the
-      // evaluating member's pre_window check.
-      GS_DCHECK(entry.last_count == memo->total - memo->tags.size());
-      ReplaySharedTags(*memo, qid, window_results);
-      entry.last_count = memo->total;
-      continue;
-    }
-
-    QueryEntry& entry = queries_.at(qid);
-    bool pass_ran = false;
-    std::vector<uint32_t> tags;
-    uint64_t total = 0;
-    if (!EvaluateWindowTagged(entry, wctx, SharedGroupSize(qid), pass_ran, tags,
-                              total))
-      return;
-    if (memo != nullptr) memo->Store(pass_ran, std::move(window_key), &tags, total);
-    if (total == 0) continue;
-    ScatterTagCounts(tags, qid, window_results);
-    entry.last_count = total;
-  }
-}
-
-void InvEngine::FinalizeWindowRouted(InvWindowContext& wctx,
-                                     UpdateResult* window_results) {
   if (wctx.affected_groups.empty()) return;
   std::sort(wctx.affected_groups.begin(), wctx.affected_groups.end());
   const auto& groups = finalize_groups();
@@ -262,42 +171,26 @@ void InvEngine::FinalizeWindowRouted(InvWindowContext& wctx,
 
     if (BudgetExceededNow()) return;  // timeout: partial, flagged by the caller
 
+    // Evaluate the group's representative once; the tagged histogram (and
+    // end-of-window total) serves every member (groups that cannot share are
+    // singletons).
     const FinalizeGroup& group = *groups[gid];
-    if (GroupSharingApplies(group)) {
-      // Evaluate the group's representative once; the tagged histogram (and
-      // end-of-window total) serves every member — the same invariant as the
-      // legacy memo path, without materializing per-member work items.
-      QueryEntry& rep = queries_.at(group.members[0]);
-      bool pass_ran = false;
-      std::vector<uint32_t> tags;
-      uint64_t total = 0;
-      if (!EvaluateWindowTagged(rep, wctx,
-                                static_cast<uint32_t>(group.members.size()),
-                                pass_ran, tags, total))
-        return;
-      if (pass_ran) NoteSharedGroupPass();
-      if (total == 0) continue;
-      for (QueryId qid : group.members) {
-        QueryEntry& entry = queries_.at(qid);
-        GS_DCHECK(entry.last_count == total - tags.size());
-        std::vector<uint32_t> member_tags = tags;
-        ScatterTagCounts(member_tags, qid, window_results);
-        entry.last_count = total;
-      }
-    } else {
-      for (QueryId qid : group.members) {
-        if (BudgetExceededNow()) return;
-        QueryEntry& entry = queries_.at(qid);
-        bool pass_ran = false;
-        std::vector<uint32_t> tags;
-        uint64_t total = 0;
-        if (!EvaluateWindowTagged(entry, wctx, /*probe_weight=*/1, pass_ran,
-                                  tags, total))
-          return;
-        if (total == 0) continue;
-        ScatterTagCounts(tags, qid, window_results);
-        entry.last_count = total;
-      }
+    bool pass_ran = false;
+    std::vector<uint32_t> tags;
+    uint64_t total = 0;
+    if (!EvaluateWindowTagged(queries_.at(group.members[0]), wctx,
+                              static_cast<uint32_t>(group.members.size()),
+                              pass_ran, tags, total))
+      return;
+    if (pass_ran && GroupSharingApplies(group)) NoteSharedGroupPass();
+    if (total == 0) continue;
+    for (QueryId qid : group.members) {
+      QueryEntry& entry = queries_.at(qid);
+      // Assignments predating the window are exactly the ones every member's
+      // previous evaluations already counted.
+      GS_DCHECK(entry.last_count == total - tags.size());
+      ScatterTagCounts(tags, qid, window_results);
+      entry.last_count = total;
     }
   }
 }

@@ -39,33 +39,28 @@ class InvEngine : public InvertedIndexEngineBase {
   /// new on the first affecting update).
   void AddQueryImpl(QueryId qid, const QueryPattern& q) override;
 
-  UpdateResult ProcessInsert(const EdgeUpdate& u) override;
-
-  /// Window-delta pipeline: one tagged full evaluation per (query, window);
-  /// the per-position diffs fall out of the provenance histogram instead of
-  /// re-evaluating the query once per update. Routed mode (DESIGN.md §12)
-  /// iterates the window's affected signature *groups*, evaluates each
-  /// group's representative once, and fans the memoized histogram out to
-  /// every member.
+  /// Window-delta pipeline (single inserts are windows of one): iterates the
+  /// window's affected signature groups (DESIGN.md §12), runs one tagged
+  /// full evaluation of each group's representative, and fans the histogram
+  /// out to every member — the per-position diffs fall out of the provenance
+  /// histogram instead of re-evaluating the query once per update.
   void FinalizeWindow(WindowContext& ctx, UpdateResult* window_results) override;
 
  private:
   /// INV's core evaluation: recompute the query's current embedding total
-  /// from the base views. Returns false when the time budget expired
-  /// mid-evaluation (total is then unusable).
+  /// from the base views (registration snapshot and deletion refresh).
+  /// Returns false when the time budget expired mid-evaluation (total is
+  /// then unusable).
   bool EvaluateQueryTotal(QueryEntry& entry, uint64_t& total);
 
-  /// One tagged whole-window evaluation of `entry` (the shared body of the
-  /// legacy and routed FinalizeWindow paths): recomputes the end-of-window
-  /// total and the window-position tag per new assignment. `pass_ran` is
-  /// false when the candidate filter skipped the evaluation. Returns false
-  /// on a budget abort (outputs are then unusable and the caller must end
-  /// the finalize).
+  /// One tagged whole-window evaluation of `entry`: recomputes the
+  /// end-of-window total and the window-position tag per new assignment.
+  /// `pass_ran` is false when the candidate filter skipped the evaluation.
+  /// Returns false on a budget abort (outputs are then unusable and the
+  /// caller must end the finalize).
   bool EvaluateWindowTagged(QueryEntry& entry, InvWindowContext& wctx,
                             uint32_t probe_weight, bool& pass_ran,
                             std::vector<uint32_t>& tags, uint64_t& total);
-
-  void FinalizeWindowRouted(InvWindowContext& wctx, UpdateResult* window_results);
 };
 
 }  // namespace baseline

@@ -161,43 +161,6 @@ std::unique_ptr<Relation> InvertedIndexEngineBase::MaterializeFullPath(
   return current;
 }
 
-std::unique_ptr<Relation> InvertedIndexEngineBase::MaterializePathDelta(
-    const QueryEntry& entry, size_t pi, const EdgeUpdate& u, JoinIndexSource* cache,
-    size_t& transient_bytes) {
-  const auto& sig = entry.signatures[pi];
-  const uint32_t arity = static_cast<uint32_t>(sig.size()) + 1;
-  auto delta = std::make_unique<Relation>(arity);
-
-  for (size_t pos = 0; pos < sig.size(); ++pos) {
-    if (!sig[pos].Matches(u)) continue;
-    // Seed with the update tuple at `pos`, then grow the fragment leftwards
-    // and rightwards over the edge views.
-    auto cur = std::make_unique<Relation>(2);
-    const VertexId seed[2] = {u.src, u.dst};
-    cur->Append(seed);
-    bool dead = false;
-    for (size_t j = pos; j-- > 0 && !dead;) {
-      const Relation* base = FindBaseView(sig[j]);
-      auto next = std::make_unique<Relation>(cur->arity() + 1);
-      ExtendLeft(AllRows(*cur), *base, cache ? cache->Get(base, 1) : nullptr, *next);
-      transient_bytes += next->MemoryBytes();
-      cur = std::move(next);
-      dead = cur->Empty();
-    }
-    for (size_t j = pos + 1; j < sig.size() && !dead; ++j) {
-      const Relation* base = FindBaseView(sig[j]);
-      auto next = std::make_unique<Relation>(cur->arity() + 1);
-      ExtendRight(AllRows(*cur), *base, cache ? cache->Get(base, 0) : nullptr, *next);
-      transient_bytes += next->MemoryBytes();
-      cur = std::move(next);
-      dead = cur->Empty();
-    }
-    if (dead || BudgetExceeded()) continue;
-    delta->AppendAll(*cur);
-  }
-  return delta;
-}
-
 bool InvertedIndexEngineBase::EncodeFinalizeSignature(QueryId qid,
                                                       std::vector<uint64_t>& out) {
   const QueryEntry& entry = queries_.at(qid);
@@ -231,33 +194,24 @@ void InvertedIndexEngineBase::ProcessInsertDelta(const EdgeUpdate& u,
   InvWindowContext& wctx = static_cast<InvWindowContext&>(ctx);
   result.changed = true;
 
-  if (route_enabled()) {
-    // Routed dispatch (DESIGN.md §12): one O(words) label test rejects
-    // updates no registered pattern can match — no pattern means no base
-    // view either, so skipping the append is exact. Routed updates probe
-    // only the live endpoint classes and record *group* ids; the per-member
-    // fan-out happens once per group in FinalizeWindow.
-    if (!prefilter_.MayMatch(u)) {
-      NotePrefilterReject();
-      return;
-    }
-    AppendToBaseViews(u, &ctx);
-    wctx.route_scratch.clear();
-    NoteRoutedCandidates(group_routes_.Route(u, wctx.route_scratch));
-    for (uint32_t gid : wctx.route_scratch)
-      wctx.affected_groups.emplace_back(gid, ctx.position);
+  // Routed dispatch (DESIGN.md §12): one O(words) label test rejects updates
+  // no registered pattern can match — no pattern means no base view either,
+  // so skipping the append is exact. Routed updates probe only the live
+  // endpoint classes and record *group* ids; the per-member fan-out happens
+  // once per group in FinalizeWindow.
+  if (!prefilter_.MayMatch(u)) {
+    NotePrefilterReject();
     return;
   }
-
   AppendToBaseViews(u, &ctx);
-  const std::vector<QueryId> qids = AffectedQueries(u);
-  NoteRoutedCandidates(qids.size());
-  for (QueryId qid : qids) wctx.affected.emplace_back(qid, ctx.position);
+  wctx.route_scratch.clear();
+  NoteRoutedCandidates(group_routes_.Route(u, wctx.route_scratch));
+  for (uint32_t gid : wctx.route_scratch)
+    wctx.affected_groups.emplace_back(gid, ctx.position);
 }
 
 void InvertedIndexEngineBase::OnRouteGroupsRebuilt() {
   group_routes_.Clear();
-  if (!route_enabled()) return;
   for (const auto& group : finalize_groups()) {
     const QueryEntry& rep = queries_.at(group->members[0]);
     std::unordered_set<GenericEdgePattern, GenericEdgePatternHash> distinct;

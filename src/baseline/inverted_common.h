@@ -62,21 +62,18 @@ class InvertedIndexEngineBase : public ViewEngineBase {
   void BuildPatternReach() override;
 
   /// Shard-local delta-window context (window-delta pipeline, DESIGN.md §7):
-  /// the affected (query | signature group, window position) pairs
-  /// accumulated across the window. The engine-specific FinalizeWindow
-  /// overrides consume them to run one tagged evaluation per (query, window)
-  /// — per (group, window) on the routed path.
+  /// the affected (signature group, window position) pairs accumulated
+  /// across the window (DESIGN.md §12). The engine-specific FinalizeWindow
+  /// overrides consume them to run one tagged evaluation per (group, window).
+  /// Single inserts run the same pipeline as a window of one.
   struct InvWindowContext : WindowContext {
-    std::vector<std::pair<QueryId, uint32_t>> affected;  ///< Legacy path.
-    /// Routed path (DESIGN.md §12): (group id, window position) pairs.
     std::vector<std::pair<uint32_t, uint32_t>> affected_groups;
     std::vector<uint32_t> route_scratch;  ///< Route() output, reused.
   };
 
   /// Maintenance is identical for INV and INC: append to the base views
-  /// (checkpointing them) and record the affected queries; every join is
-  /// deferred to the engine's FinalizeWindow.
-  bool SupportsWindowDelta() const override { return true; }
+  /// (checkpointing them) and record the affected signature groups; every
+  /// join is deferred to the engine's FinalizeWindow.
   std::unique_ptr<WindowContext> NewWindowContext() override {
     return std::make_unique<InvWindowContext>();
   }
@@ -110,7 +107,8 @@ class InvertedIndexEngineBase : public ViewEngineBase {
     uint64_t last_count = 0;
   };
 
-  /// Sorted unique query ids whose patterns match `u` (via edgeInd).
+  /// Sorted unique query ids whose patterns match `u` (via edgeInd): INV's
+  /// deletions refresh these queries' diff baselines.
   std::vector<QueryId> AffectedQueries(const EdgeUpdate& u) const;
 
   /// True when every edge pattern of the query has a non-empty base view
@@ -119,20 +117,12 @@ class InvertedIndexEngineBase : public ViewEngineBase {
   bool AllViewsNonEmpty(const QueryEntry& entry) const;
 
   /// Re-materializes covering path `pi` of `entry` from scratch by chaining
-  /// hash joins over the edge-level views (paper §5.1 Step 3 — INV's per-
-  /// update cost, also paid by INC for the paths the update does not touch).
+  /// hash joins over the edge-level views (paper §5.1 Step 3) — the untagged
+  /// chain behind INV's registration snapshot and deletion refresh.
   /// Returns nullptr when the chain dies or the budget expires.
   std::unique_ptr<Relation> MaterializeFullPath(const QueryEntry& entry, size_t pi,
                                                 JoinIndexSource* cache,
                                                 size_t& transient_bytes);
-
-  /// Materializes only the path rows that use update `u` (INC's seeded
-  /// evaluation, §5.2): for every position of the path whose pattern matches
-  /// `u`, seed with the update tuple and extend left/right over the edge
-  /// views. Returns the (deduplicated) delta rows.
-  std::unique_ptr<Relation> MaterializePathDelta(const QueryEntry& entry, size_t pi,
-                                                 const EdgeUpdate& u, JoinIndexSource* cache,
-                                                 size_t& transient_bytes);
 
   /// Tagged MaterializeFullPath (window-delta pipeline): the returned
   /// relation carries a provenance column — each row's tag is the max
@@ -146,12 +136,13 @@ class InvertedIndexEngineBase : public ViewEngineBase {
                                                       size_t& transient_bytes,
                                                       uint32_t touch_weight = 1);
 
-  /// Window-batched MaterializePathDelta: seeds *every* window update in
-  /// `seeds` ((window position, update) pairs, ascending) that matches each
-  /// path position in one tagged pass and extends over the end-of-window
-  /// edge views — one build+probe chain per (path, window) instead of one
-  /// per (path, update). Rows are tagged with the window position at which
-  /// sequential per-update evaluation would have produced them.
+  /// Materializes only the path rows that use a window update (INC's seeded
+  /// evaluation, §5.2): seeds *every* window update in `seeds` ((window
+  /// position, update) pairs, ascending) that matches each path position in
+  /// one tagged pass and extends left/right over the end-of-window edge
+  /// views — one build+probe chain per (path, window). Rows are tagged with
+  /// the window position at which sequential per-update evaluation would
+  /// have produced them.
   std::unique_ptr<Relation> MaterializePathDeltaBatch(
       const QueryEntry& entry, size_t pi,
       const std::vector<std::pair<uint32_t, const EdgeUpdate*>>& seeds,
@@ -171,8 +162,8 @@ class InvertedIndexEngineBase : public ViewEngineBase {
   FlatMap<VertexId, std::vector<GenericEdgePattern>, VertexIdHash> target_ind_;
   /// Always-current label/class prefilter over the registered patterns,
   /// maintained incrementally per distinct pattern in Add/RemoveQueryImpl —
-  /// valid on the sequential per-update path too, unlike the group routing
-  /// postings below (which are only rebuilt with the signature grouping).
+  /// always current, unlike the group routing postings below (which are only
+  /// rebuilt with the signature grouping).
   RoutePrefilter prefilter_;
   /// Routed dispatch (DESIGN.md §12): genericized pattern -> affected
   /// signature-group ids. Posting lengths track distinct query structure,

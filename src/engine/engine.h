@@ -77,36 +77,26 @@ class ContinuousEngine {
   virtual size_t NumQueries() const = 0;
 
   /// Diagnostic counter: final-join passes executed so far (one pass =
-  /// joining one covering-path view set to produce matches). Per-update
-  /// execution runs one pass per (query, update); the window-delta batch
-  /// pipeline runs one per (query, window); with shared finalization
-  /// (SetSharedFinalize, the default for the view engines) one per
-  /// (covering-path signature group, window) — N queries joining the same
-  /// shared views collapse into a single pass. Tests and the bench harness
-  /// read this to verify the batching/sharing actually happened. Engines
-  /// without a final-join stage report 0.
+  /// joining one covering-path view set to produce matches). TRIC/TRIC+'s
+  /// per-update insert runs one pass per (query, update); the window-delta
+  /// pipeline runs one per (covering-path signature group, window) — N
+  /// queries joining the same shared views collapse into a single pass
+  /// (DESIGN.md §9). Tests and the bench harness read this to verify the
+  /// batching/sharing actually happened. Engines without a final-join stage
+  /// report 0.
   virtual uint64_t final_join_passes() const { return 0; }
 
   /// Diagnostic counter companion to final_join_passes: window-finalize
   /// passes whose result was fanned out to two or more queries (each such
-  /// pass replaced ≥ 2 per-query passes). 0 when sharing is off, when no
-  /// two live queries share a covering-path signature, or for engines
-  /// without a final-join stage.
+  /// pass replaced ≥ 2 per-query passes). 0 when no two live queries share a
+  /// covering-path signature, or for engines without a final-join stage.
   virtual uint64_t shared_finalize_groups() const { return 0; }
 
-  /// Toggles cross-query shared window finalization (on by default for the
-  /// view engines). With sharing off every window finalize runs one pass
-  /// per (query, window) — the PR 3 behavior; results are byte-identical
-  /// either way (the agreement suite holds the two modes against each
-  /// other). Must not be called while a batch is in flight.
-  virtual void SetSharedFinalize(bool enabled) { (void)enabled; }
-
   /// Diagnostic counter: candidate work items the routing layer handed to
-  /// evaluation. On the legacy (linear) path this counts per-query/per-path
-  /// candidates — linear in tenant count; on the routed path (DESIGN.md §12)
-  /// it counts signature groups / trie-node paths — tracking distinct query
-  /// structure instead. The fig_scale bench divides this by updates applied
-  /// to show sublinear routing. Engines without a routing layer report 0.
+  /// evaluation (DESIGN.md §12): signature groups / trie-node paths, tracking
+  /// distinct query structure rather than tenant count. The fig_scale bench
+  /// divides this by updates applied to show sublinear routing. Engines
+  /// without a routing layer report 0.
   virtual uint64_t routed_candidates() const { return 0; }
 
   /// Diagnostic counter companion: streamed updates rejected by the O(words)
@@ -130,14 +120,6 @@ class ContinuousEngine {
   /// partition was served from the generalization-profile memo instead of
   /// recomputed (see ViewEngineBase::RunInsertWindowImpl).
   virtual uint64_t footprint_cache_hits() const { return 0; }
-
-  /// Toggles the sublinear query routing index (on by default for the view
-  /// engines). With routing off the per-update dispatch takes the legacy
-  /// linear path — full posting-probe fan-out plus per-query finalize
-  /// candidacy; results are byte-identical either way (the routing oracle
-  /// suite holds the modes against each other). Must not be called while a
-  /// batch is in flight.
-  virtual void SetRouteIndex(bool enabled) { (void)enabled; }
 
   /// Approximate bytes of all retained structures, including the peak
   /// transient join scratch observed so far (Fig. 13(c) accounting).

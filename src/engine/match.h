@@ -46,7 +46,7 @@ struct UpdateResult {
   }
 
   /// Restores the ascending-qid invariant after out-of-order AddQueryCount
-  /// calls: the routed window finalize emits per signature group, so counts
+  /// calls: the window finalize emits per signature group, so counts
   /// for different queries interleave across groups. Each qid still appears
   /// at most once per result.
   void SortByQuery() {

@@ -128,7 +128,7 @@ void ViewEngineBase::EnsureReach() {
   reach_dirty_ = false;
 }
 
-bool ViewEngineBase::CollectFootprint(const EdgeUpdate& u, Footprint& out) {
+void ViewEngineBase::CollectFootprint(const EdgeUpdate& u, Footprint& out) {
   EnsureReach();
   for (const auto& g : Generalizations(u)) {
     // Unregistered patterns have no base view and no index entries — an
@@ -137,7 +137,6 @@ bool ViewEngineBase::CollectFootprint(const EdgeUpdate& u, Footprint& out) {
     if (it != pattern_reach_.end())
       out.insert(out.end(), it->second.begin(), it->second.end());
   }
-  return true;
 }
 
 std::vector<UpdateResult> ViewEngineBase::ApplyBatch(const EdgeUpdate* updates,
@@ -174,23 +173,25 @@ bool ViewEngineBase::RunInsertWindow(const EdgeUpdate* updates, size_t lo,
   return ok;
 }
 
-void ViewEngineBase::ProcessInsertDelta(const EdgeUpdate& u, WindowContext& ctx,
-                                        UpdateResult& result) {
-  (void)ctx;
-  result = ProcessInsert(u);
-}
-
-void ViewEngineBase::FinalizeWindow(WindowContext& ctx, UpdateResult* window_results) {
-  (void)ctx;
-  (void)window_results;
+UpdateResult ViewEngineBase::ProcessInsert(const EdgeUpdate& u) {
+  // A window of one: the same maintenance + finalize split as any window,
+  // so single inserts and batches share one code path.
+  EnsureFinalizeGroups();
+  UpdateResult result;
+  std::unique_ptr<WindowContext> ctx = NewWindowContext();
+  ctx->window_updates = &u;
+  ctx->position = 1;
+  ProcessInsertDelta(u, *ctx, result);
+  if (!BudgetExceeded()) FinalizeWindow(*ctx, &result);
+  result.SortByQuery();
+  if (BudgetExceededNow()) result.timed_out = true;
+  return result;
 }
 
 void ViewEngineBase::EnsureFinalizeGroups() {
   if (!finalize_groups_dirty_) return;
   finalize_groups_dirty_ = false;
   finalize_groups_.clear();
-  group_of_query_.clear();
-  if (!shared_finalize_enabled_ && !route_enabled_) return;
 
   std::vector<QueryId> qids;
   ListQueryIds(qids);
@@ -242,32 +243,14 @@ void ViewEngineBase::EnsureFinalizeGroups() {
     group->id = static_cast<uint32_t>(finalize_groups_.size());
     group->shareable = shareable;
     group->members = std::move(members);
-    for (QueryId qid : group->members) group_of_query_[qid] = group.get();
     finalize_groups_.push_back(std::move(group));
   };
 
-  for (auto& [k, members] : by_key) {
-    // With routing off, groups exist only for fan-out sharing — singletons
-    // take the per-query path. With routing on every query needs a group
-    // (groups are the routing targets).
-    if (!route_enabled_ && members.size() < 2) continue;
-    add_group(std::move(members), /*shareable=*/true);
-  }
-  if (route_enabled_)
-    for (QueryId qid : privates)
-      add_group(std::vector<QueryId>{qid}, /*shareable=*/false);
+  // Every query needs a group: groups are the routing targets.
+  for (auto& [k, members] : by_key) add_group(std::move(members), /*shareable=*/true);
+  for (QueryId qid : privates) add_group(std::vector<QueryId>{qid}, /*shareable=*/false);
 
   OnRouteGroupsRebuilt();
-}
-
-ViewEngineBase::SharedFinalizeMemo* ViewEngineBase::SharedMemoFor(
-    QueryId qid, WindowContext& ctx) const {
-  auto it = group_of_query_.find(qid);
-  if (it == group_of_query_.end()) return nullptr;
-  // Routed grouping materializes singleton and opted-out groups too; those
-  // never share a memo.
-  if (!GroupSharingApplies(*it->second)) return nullptr;
-  return &ctx.shared[it->second];
 }
 
 void ViewEngineBase::AppendFilterSignature(const QueryPattern& q,
@@ -305,13 +288,19 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
   for (size_t k = 0; k < count; ++k)
     dup[k] = IsDuplicateUpdate(updates[lo + k]) ? 1 : 0;
 
-  // Window-delta execution needs ≥ 2 updates to amortize anything; single-
-  // insert windows take the per-update path unchanged.
-  const bool delta = count > 1 && SupportsWindowDelta();
+  // A window of one is a single insert: ProcessInsert. For INV/INC that is
+  // this pipeline with one position; TRIC/TRIC+ substitute their per-update
+  // path, because their windows of one measured +57% snb-churn notify p50,
+  // +42% taxi-window notify p50 and -8% snb-qdb2500 records/s through the
+  // window path (DESIGN.md §7.6).
+  if (count == 1) {
+    results.push_back(dup[0] ? UpdateResult{} : ProcessInsert(updates[lo]));
+    return !results.back().timed_out;
+  }
 
   // Shared finalization groups are read (immutably) by FinalizeWindow, which
   // may run on shard threads — rebuild on the coordinator, like the reaches.
-  if (delta) EnsureFinalizeGroups();
+  EnsureFinalizeGroups();
 
   // On a mid-window timeout the pre-pass marked edges we never applied;
   // un-mark the suffix so it leaves no trace (ApplyBatch contract).
@@ -320,29 +309,16 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
       if (!dup[j]) seen_edges_.erase(updates[lo + j]);
   };
 
-  // The routed finalize emits counts per signature group, interleaving query
-  // ids across groups; restore each slot's ascending-qid invariant. The
-  // legacy paths emit in ascending qid order already.
-  const auto normalize_order = [&](std::vector<UpdateResult>& window) {
-    if (!route_enabled_) return;
+  // The finalize emits counts per signature group, interleaving query ids
+  // across groups; restore each slot's ascending-qid invariant.
+  const auto normalize_order = [](std::vector<UpdateResult>& window) {
     for (UpdateResult& r : window) r.SortByQuery();
   };
 
+  // Single-threaded path: maintain views per update in stream order, then
+  // run every deferred final join once at the window boundary. On a budget
+  // trip results are partial, as everywhere under timeout.
   const auto run_sequential = [&]() {
-    for (size_t k = 0; k < count; ++k) {
-      results.push_back(dup[k] ? UpdateResult{} : ProcessInsert(updates[lo + k]));
-      if (results.back().timed_out) {
-        unwind_suffix(k + 1);
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // Single-threaded delta path: maintain views per update in stream order,
-  // then run every deferred final join once at the window boundary. On a
-  // budget trip results are partial, as everywhere under timeout.
-  const auto run_sequential_delta = [&]() {
     std::vector<UpdateResult> window(count);
     std::unique_ptr<WindowContext> ctx = NewWindowContext();
     ctx->window_updates = updates + lo;
@@ -367,42 +343,37 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
     return true;
   };
 
-  const auto run_single = [&]() { return delta ? run_sequential_delta() : run_sequential(); };
-  if (sched_ == nullptr || count == 1) return run_single();
+  if (sched_ == nullptr) return run_sequential();
 
   // ---- shard partition: generalization-profile memo, else union-find ----
   //
   // The partition is a pure function of the window's *generalization
   // profile*: per update, the ids of the registered patterns it matches
-  // (the default CollectFootprint concatenates exactly those patterns'
-  // precomputed reaches), plus the duplicate mask. Identical-profile
-  // windows — the steady state of a homogeneous stream — reuse the shard
-  // member lists and skip the element-level union-find entirely.
-  const std::vector<std::vector<uint32_t>>* shard_lists = nullptr;
+  // (CollectFootprint concatenates exactly those patterns' precomputed
+  // reaches), plus the duplicate mask. Identical-profile windows — the
+  // steady state of a homogeneous stream — reuse the shard member lists and
+  // skip the element-level union-find entirely.
   std::vector<uint64_t> profile;
-  if (footprint_pattern_local_) {
-    EnsureReach();
-    profile.reserve(count * 3);
-    for (size_t k = 0; k < count; ++k) {
-      profile.push_back(kProfileNextUpdate);
-      if (dup[k]) {
-        profile.push_back(kProfileDuplicate);
-        continue;
-      }
-      for (const auto& g : Generalizations(updates[lo + k])) {
-        if (pattern_reach_.find(g) == pattern_reach_.end()) continue;
-        profile.push_back(PatternId(g));
-      }
+  EnsureReach();
+  profile.reserve(count * 3);
+  for (size_t k = 0; k < count; ++k) {
+    profile.push_back(kProfileNextUpdate);
+    if (dup[k]) {
+      profile.push_back(kProfileDuplicate);
+      continue;
     }
-    auto hit = partition_cache_.find(profile);
-    if (hit != partition_cache_.end()) {
-      footprint_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      shard_lists = &hit->second.shard_members;
+    for (const auto& g : Generalizations(updates[lo + k])) {
+      if (pattern_reach_.find(g) == pattern_reach_.end()) continue;
+      profile.push_back(PatternId(g));
     }
   }
-
-  std::vector<std::vector<uint32_t>> computed_shards;
-  if (shard_lists == nullptr) {
+  const std::vector<std::vector<uint32_t>>* shard_lists = nullptr;
+  auto hit = partition_cache_.find(profile);
+  if (hit != partition_cache_.end()) {
+    footprint_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    shard_lists = &hit->second.shard_members;
+  } else {
+    std::vector<std::vector<uint32_t>> computed_shards;
     // Footprint collection + union-find grouping: two inserts sharing any
     // footprint element may interact and land in one shard; shards are
     // therefore pairwise disjoint in everything they read or write.
@@ -412,7 +383,7 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
     FlatMap<uint64_t, uint32_t, ElemHash> owner;
     for (size_t k = 0; k < count; ++k) {
       if (dup[k]) continue;
-      if (!CollectFootprint(updates[lo + k], fps[k])) return run_single();
+      CollectFootprint(updates[lo + k], fps[k]);
       for (uint64_t e : fps[k]) {
         uint32_t& first = owner.GetOrCreate(e);
         if (first == 0) {
@@ -439,19 +410,14 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
           static_cast<uint32_t>(k));
     }
 
-    if (footprint_pattern_local_) {
-      if (partition_cache_.size() >= kPartitionCacheMax)
-        partition_cache_.clear();
-      WindowPartition& slot = partition_cache_[std::move(profile)];
-      slot.shard_members = std::move(computed_shards);
-      shard_lists = &slot.shard_members;
-    } else {
-      shard_lists = &computed_shards;
-    }
+    if (partition_cache_.size() >= kPartitionCacheMax) partition_cache_.clear();
+    WindowPartition& slot = partition_cache_[std::move(profile)];
+    slot.shard_members = std::move(computed_shards);
+    shard_lists = &slot.shard_members;
   }
 
   const std::vector<std::vector<uint32_t>>& shards = *shard_lists;
-  if (shards.size() <= 1) return run_single();
+  if (shards.size() <= 1) return run_sequential();
 
   // ---- task planning: grain-packed shard groups ----
   //
@@ -495,30 +461,25 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
   budget_ = nullptr;
   // Each task owns a full-window result arena: FinalizeWindow scatters by
   // global window position, and distinct tasks never share a position, so
-  // arenas also kill false sharing on the hot result slots. On the delta
-  // path each shard replays its members' maintenance in stream order, then
-  // finalizes its own queries once — tags are global window positions, so
-  // the merged results read exactly like sequential execution.
+  // arenas also kill false sharing on the hot result slots. Each shard
+  // replays its members' maintenance in stream order, then finalizes its own
+  // queries once — tags are global window positions, so the merged results
+  // read exactly like sequential execution.
   const uint64_t steals_before = sched_->steals();
   std::vector<std::vector<UpdateResult>> arenas(tasks.size());
   for (size_t t = 0; t < tasks.size(); ++t) {
-    sched_->Submit([this, updates, lo, count, delta, t, &tasks, &shards,
-                    &arenas] {
+    sched_->Submit([this, updates, lo, count, t, &tasks, &shards, &arenas] {
       std::vector<UpdateResult>& arena = arenas[t];
       arena.resize(count);
       const TaskSpan span = tasks[t];
       for (uint32_t s = span.first; s < span.limit; ++s) {
-        if (delta) {
-          std::unique_ptr<WindowContext> ctx = NewWindowContext();
-          ctx->window_updates = updates + lo;
-          for (uint32_t k : shards[s]) {
-            ctx->position = k + 1;
-            ProcessInsertDelta(updates[lo + k], *ctx, arena[k]);
-          }
-          FinalizeWindow(*ctx, arena.data());
-        } else {
-          for (uint32_t k : shards[s]) arena[k] = ProcessInsert(updates[lo + k]);
+        std::unique_ptr<WindowContext> ctx = NewWindowContext();
+        ctx->window_updates = updates + lo;
+        for (uint32_t k : shards[s]) {
+          ctx->position = k + 1;
+          ProcessInsertDelta(updates[lo + k], *ctx, arena[k]);
         }
+        FinalizeWindow(*ctx, arena.data());
       }
     });
   }

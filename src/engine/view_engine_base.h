@@ -49,28 +49,29 @@ namespace gstream {
 ///    registered pattern ids, plus the duplicate mask), so identical-shape
 ///    windows — the steady state of a homogeneous stream — skip the
 ///    element-level union-find entirely (see footprint_cache_hits).
-///  * window-delta execution (DESIGN.md §7): within an insert window the
-///    engines that opt in (`SupportsWindowDelta`) split each update into
-///    cheap view maintenance (`ProcessInsertDelta`, run per update in stream
-///    order) and the expensive final joins (`FinalizeWindow`, run once per
-///    (query, window) over the window's accumulated, provenance-tagged
-///    deltas). Emitted matches carry the window position they would have
-///    been produced at by sequential execution, so grouping them by tag
-///    reconstructs byte-identical per-update results. The per-update path
-///    remains the `--batch 1` / single-insert degenerate case.
-///  * shared window finalization (DESIGN.md §9): live queries are grouped by
-///    their covering-path join signature — the ordered shared-view ids plus
-///    the join/filter spec of the final join (`EncodeFinalizeSignature`).
-///    Queries with equal signatures run *identical* finalize computations,
-///    so each engine's FinalizeWindow evaluates one member per group per
-///    window, memoizes the tagged result in the window context, and fans the
-///    per-position counts out to every other member — collapsing N
-///    per-query passes into one per distinct signature. The grouping is
-///    rebuilt lazily after AddQuery/RemoveQuery (MarkReachDirty doubles as
-///    the invalidation hook) and computed on the coordinator before shards
-///    fan out; signature-equal queries always share a shard (their
-///    footprints overlap on the very views the signature names), so the
-///    shard-local memo sees every member.
+///  * window-delta execution (DESIGN.md §7): every insert window splits
+///    each update into cheap view maintenance (`ProcessInsertDelta`, run per
+///    update in stream order) and the expensive final joins
+///    (`FinalizeWindow`, run once per (signature group, window) over the
+///    window's accumulated, provenance-tagged deltas). Emitted matches carry
+///    the window position they would have been produced at by sequential
+///    execution, so grouping them by tag reconstructs byte-identical
+///    per-update results. A single insert is a window of one
+///    (`ProcessInsert`); only TRIC/TRIC+ override that with a per-update
+///    path (DESIGN.md §7.6 gives the measurements).
+///  * shared window finalization and routing (DESIGN.md §9, §12): live
+///    queries are grouped by their covering-path join signature — the
+///    ordered shared-view ids plus the join/filter spec of the final join
+///    (`EncodeFinalizeSignature`). Queries with equal signatures run
+///    *identical* finalize computations, so each engine's FinalizeWindow
+///    evaluates one member per group per window and fans the per-position
+///    counts out to every member — collapsing N per-query passes into one
+///    per distinct signature. The groups double as the routing targets. The
+///    grouping is rebuilt lazily after AddQuery/RemoveQuery (MarkReachDirty
+///    doubles as the invalidation hook) and computed on the coordinator
+///    before shards fan out; signature-equal queries always share a shard
+///    (their footprints overlap on the very views the signature names), so a
+///    group's finalize sees every member's window positions.
 class ViewEngineBase : public ContinuousEngine {
  public:
   std::vector<UpdateResult> ApplyBatch(const EdgeUpdate* updates, size_t n) override;
@@ -99,22 +100,12 @@ class ViewEngineBase : public ContinuousEngine {
     return shared_finalize_groups_.load(std::memory_order_relaxed);
   }
 
-  void SetSharedFinalize(bool enabled) override {
-    shared_finalize_enabled_ = enabled;
-    finalize_groups_dirty_ = true;
-  }
-
   uint64_t routed_candidates() const override {
     return routed_candidates_.load(std::memory_order_relaxed);
   }
 
   uint64_t prefilter_rejects() const override {
     return prefilter_rejects_.load(std::memory_order_relaxed);
-  }
-
-  void SetRouteIndex(bool enabled) override {
-    route_enabled_ = enabled;
-    finalize_groups_dirty_ = true;
   }
 
   /// Order-insensitive digest of the shared durable state (see engine.h):
@@ -128,9 +119,7 @@ class ViewEngineBase : public ContinuousEngine {
 
  protected:
   /// One signature group: the live queries (ascending) whose finalize
-  /// signatures are equal. With the routing index off only multi-member
-  /// shareable groups are materialized (singletons take the plain per-query
-  /// path); with routing on *every* live query belongs to exactly one group —
+  /// signatures are equal. Every live query belongs to exactly one group —
   /// groups double as the routing targets (DESIGN.md §12), and queries whose
   /// signature opted out of sharing get private singleton groups
   /// (`shareable == false`).
@@ -138,38 +127,6 @@ class ViewEngineBase : public ContinuousEngine {
     uint32_t id = 0;  ///< Dense index into finalize_groups() (routing target).
     bool shareable = true;  ///< False: signature opted out of fan-out sharing.
     std::vector<QueryId> members;
-  };
-
-  /// Window-local memo of one group's finalize evaluation, held in the
-  /// shard's WindowContext: the first member processed evaluates and stores
-  /// the tagged outcome, every later member replays it. `runtime_key` pins
-  /// the window-specific inputs (affected covering paths / seed positions) —
-  /// signature-equal queries always agree on it, but a mismatch falls back
-  /// to an independent evaluation rather than trusting the memo.
-  struct SharedFinalizeMemo {
-    bool evaluated = false;
-    bool pass_ran = false;       ///< The evaluation counted a final-join pass.
-    bool shared_counted = false; ///< Already counted in shared_finalize_groups.
-    std::vector<uint64_t> runtime_key;
-    /// Window position per new assignment (ScatterTagCounts input).
-    std::vector<uint32_t> tags;
-    /// Engine-specific scalar rider (INV: end-of-window embedding total).
-    uint64_t total = 0;
-
-    /// Records one evaluation outcome (the single writer path — every
-    /// engine's FinalizeWindow stores through here so the fields cannot be
-    /// half-updated): `t == nullptr` means a no-op outcome (no tags).
-    void Store(bool ran, std::vector<uint64_t>&& key,
-               const std::vector<uint32_t>* t, uint64_t tot = 0) {
-      evaluated = true;
-      pass_ran = ran;
-      runtime_key = std::move(key);
-      total = tot;
-      if (t != nullptr)
-        tags = *t;
-      else
-        tags.clear();
-    }
   };
 
   /// Per-shard context of one delta window: the provenance checkpoints of
@@ -183,17 +140,9 @@ class ViewEngineBase : public ContinuousEngine {
     /// coordinator before the first ProcessInsertDelta).
     const EdgeUpdate* window_updates = nullptr;
     WindowProvenance prov;
-    /// Shared-finalize memos of the groups this shard finalizes.
-    std::unordered_map<const FinalizeGroup*, SharedFinalizeMemo> shared;
   };
 
-  /// True when the engine implements the window-delta protocol below;
-  /// otherwise batch windows replay `ProcessInsert` per update.
-  virtual bool SupportsWindowDelta() const { return false; }
-
-  virtual std::unique_ptr<WindowContext> NewWindowContext() {
-    return std::make_unique<WindowContext>();
-  }
+  virtual std::unique_ptr<WindowContext> NewWindowContext() = 0;
 
   /// Delta-path maintenance for one insert (`ctx.position` is set): update
   /// the shared views and routing state, checkpoint touched relations in
@@ -202,15 +151,15 @@ class ViewEngineBase : public ContinuousEngine {
   /// window's result vector; maintenance fills `changed`, FinalizeWindow
   /// adds the per-query counts.
   virtual void ProcessInsertDelta(const EdgeUpdate& u, WindowContext& ctx,
-                                  UpdateResult& result);
+                                  UpdateResult& result) = 0;
 
-  /// Runs the deferred final joins of `ctx`'s shard: exactly one pass per
-  /// (query, window), scattering match counts onto `window_results[p - 1]`
-  /// for window position `p` (tags never cross shard boundaries — a query's
-  /// positions are its own shard's members).
-  virtual void FinalizeWindow(WindowContext& ctx, UpdateResult* window_results);
+  /// Runs the deferred final joins of `ctx`'s shard: one pass per affected
+  /// (signature group, window), its match counts scattered for every member
+  /// onto `window_results[p - 1]` for window position `p` (tags never cross
+  /// shard boundaries — a query's positions are its own shard's members).
+  virtual void FinalizeWindow(WindowContext& ctx, UpdateResult* window_results) = 0;
 
-  /// Bumps the per-query final-join pass counter (see final_join_passes).
+  /// Bumps the final-join pass counter (see final_join_passes).
   void NoteFinalJoinPass() {
     final_join_passes_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -242,10 +191,10 @@ class ViewEngineBase : public ContinuousEngine {
   /// Appends the registered query ids (any order).
   virtual void ListQueryIds(std::vector<QueryId>& out) const = 0;
 
-  /// Rebuilds the signature grouping when dirty (after AddQuery/RemoveQuery
-  /// or a SetSharedFinalize/SetRouteIndex flip). Coordinator-thread only —
-  /// runs before a delta window fans out so shard threads read the groups
-  /// immutably. Fires OnRouteGroupsRebuilt after a rebuild.
+  /// Rebuilds the signature grouping when dirty (after AddQuery/RemoveQuery).
+  /// Coordinator-thread only — runs before a delta window fans out so shard
+  /// threads read the groups immutably. Fires OnRouteGroupsRebuilt after a
+  /// rebuild.
   void EnsureFinalizeGroups();
 
   /// Hook fired after EnsureFinalizeGroups rebuilt the grouping: engines
@@ -259,48 +208,20 @@ class ViewEngineBase : public ContinuousEngine {
     return finalize_groups_;
   }
 
-  /// `qid`'s signature group, or nullptr (never null once routing
-  /// materializes all-query groups and the grouping is clean).
-  const FinalizeGroup* GroupOf(QueryId qid) const {
-    auto it = group_of_query_.find(qid);
-    return it == group_of_query_.end() ? nullptr : it->second;
-  }
-
-  bool route_enabled() const { return route_enabled_; }
-  bool shared_finalize_enabled() const { return shared_finalize_enabled_; }
-
   /// True when `g`'s finalize evaluation may be fanned out across members:
-  /// sharing is on, the signature did not opt out, and there is someone to
-  /// share with. Routed finalize paths branch on this; the memo path below
-  /// applies the same test.
-  bool GroupSharingApplies(const FinalizeGroup& g) const {
-    return shared_finalize_enabled_ && g.shareable && g.members.size() >= 2;
+  /// the signature did not opt out and there is someone to share with.
+  static bool GroupSharingApplies(const FinalizeGroup& g) {
+    return g.shareable && g.members.size() >= 2;
   }
 
-  /// The memo slot of `qid`'s group in this window, or nullptr when sharing
-  /// does not apply (disabled, unshareable signature, or singleton group).
-  SharedFinalizeMemo* SharedMemoFor(QueryId qid, WindowContext& ctx) const;
-
-  /// Member count of `qid`'s signature group, 1 when sharing does not apply:
-  /// the touch weight a shared finalize pass carries into the window join
-  /// cache (see JoinIndexSource::Get's weighted overload).
-  uint32_t SharedGroupSize(QueryId qid) const {
-    auto it = group_of_query_.find(qid);
-    return it == group_of_query_.end() || !GroupSharingApplies(*it->second)
-               ? 1u
-               : static_cast<uint32_t>(it->second->members.size());
-  }
-
-  /// Counts one group-level finalize pass that served >= 2 members (the
-  /// routed fan-out's equivalent of NoteSharedServed's first-replay count).
+  /// Counts one group-level finalize pass that served >= 2 members.
   void NoteSharedGroupPass() {
     shared_finalize_groups_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Counts `n` candidate work items the routing layer handed to evaluation
-  /// (per-query/per-path candidates on the legacy path, group/node-path
-  /// candidates on the routed path). Thread-safe (shards report
-  /// concurrently).
+  /// (signature groups, or trie-node paths on TRIC's per-update insert).
+  /// Thread-safe (shards report concurrently).
   void NoteRoutedCandidates(uint64_t n) {
     if (n != 0) routed_candidates_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -310,34 +231,17 @@ class ViewEngineBase : public ContinuousEngine {
     prefilter_rejects_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Counts `memo`'s pass as shared (first fan-out only): the memoized
-  /// evaluation just served a second query.
-  void NoteSharedServed(SharedFinalizeMemo& memo) {
-    if (memo.shared_counted) return;
-    memo.shared_counted = true;
-    shared_finalize_groups_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Replays a memoized group evaluation for `qid`: counts the fan-out and
-  /// scatters a copy of the memo's tags onto the window results. Call only
-  /// after matching `memo.runtime_key`.
-  void ReplaySharedTags(SharedFinalizeMemo& memo, QueryId qid,
-                        UpdateResult* window_results) {
-    if (memo.pass_ran) NoteSharedServed(memo);
-    std::vector<uint32_t> tags = memo.tags;
-    ScatterTagCounts(tags, qid, window_results);
-  }
-
   /// Canonical encoding of the filter half of a finalize signature: the
   /// assignment arity and the §4.3 property constraints. Shared by every
   /// engine's EncodeFinalizeSignature so the filter spec cannot diverge.
   static void AppendFilterSignature(const QueryPattern& q, std::vector<uint64_t>& out);
 
   /// Scatters one query's finalize output back onto the per-update results:
-  /// sorts `tags` (1-based window positions, one per new assignment) and
-  /// adds one AddQueryCount per distinct position to its result slot.
-  /// Consumes `tags`. Shared by every engine's FinalizeWindow so the
-  /// attribution logic cannot diverge between families.
+  /// sorts `tags` (1-based window positions, one per new assignment) in
+  /// place and adds one AddQueryCount per distinct position to its result
+  /// slot. A group fan-out scatters the same vector for every member. Shared
+  /// by every engine's FinalizeWindow so the attribution logic cannot
+  /// diverge between families.
   static void ScatterTagCounts(std::vector<uint32_t>& tags, QueryId qid,
                                UpdateResult* window_results);
   /// Element ids of one insert's read/write footprint. The three namespaces
@@ -351,18 +255,14 @@ class ViewEngineBase : public ContinuousEngine {
     return (static_cast<uint64_t>(qid) << 2) | 2;
   }
 
-  /// Appends every element the processing of insert `u` may read or write.
-  /// Must over-approximate (a missed element breaks exactness). The default
-  /// implementation concatenates the precomputed per-pattern reaches of
-  /// `u`'s ≤4 generalizations (lazily rebuilt via BuildPatternReach after
-  /// AddQuery — the routing indexes are immutable while updates stream, so
-  /// reaches are stable across a window); engines whose reach is not
-  /// pattern-local may override — and must then also set
-  /// `footprint_pattern_local_ = false`, because the window partition cache
-  /// keys on exactly the default implementation's inputs (the matched
-  /// registered pattern ids). Returning false marks the update
-  /// non-shardable; its window falls back to sequential execution.
-  virtual bool CollectFootprint(const EdgeUpdate& u, Footprint& out);
+  /// Appends every element the processing of insert `u` may read or write:
+  /// the precomputed per-pattern reaches of `u`'s ≤4 generalizations (lazily
+  /// rebuilt via BuildPatternReach after AddQuery — the routing indexes are
+  /// immutable while updates stream, so reaches are stable across a window).
+  /// Over-approximates (a missed element would break exactness). Being a
+  /// pure function of the matched registered pattern ids is what lets the
+  /// window partition cache key on exactly those ids.
+  void CollectFootprint(const EdgeUpdate& u, Footprint& out);
 
   /// Rebuilds `pattern_reach_` (via BuildPatternReach) when dirty.
   /// Coordinator-thread only.
@@ -389,11 +289,13 @@ class ViewEngineBase : public ContinuousEngine {
     partition_cache_.clear();
   }
 
-  /// The insert path of `ApplyUpdate` *after* the duplicate check. Must be
-  /// safe to run concurrently with other footprint-disjoint inserts; the
-  /// coordinator clears the budget before fanning out, so implementations
-  /// never observe a budget mid-shard.
-  virtual UpdateResult ProcessInsert(const EdgeUpdate& u) = 0;
+  /// A single insert *after* the duplicate check: `ApplyUpdate`'s insert
+  /// path and every window of one. The default runs the window-delta
+  /// pipeline with one position (with the window's group routing and shared
+  /// finalize). TRIC/TRIC+ override it with a per-update path that skips the
+  /// signature grouping and the provenance tags (DESIGN.md §7.6).
+  /// Coordinator-thread only.
+  virtual UpdateResult ProcessInsert(const EdgeUpdate& u);
 
   /// Opt-in (engine constructor) for the base algorithms: inside a batch
   /// window, `window_cache()` returns a transient WindowJoinCache that
@@ -484,10 +386,6 @@ class ViewEngineBase : public ContinuousEngine {
   /// Per-pattern reach aggregates; see CollectFootprint/BuildPatternReach.
   std::unordered_map<GenericEdgePattern, Footprint, GenericEdgePatternHash>
       pattern_reach_;
-  /// False when a subclass overrides CollectFootprint with a reach that is
-  /// not a pure function of the matched registered patterns — disables the
-  /// generalization-profile partition cache (see RunInsertWindowImpl).
-  bool footprint_pattern_local_ = true;
 
  private:
   /// Executes inserts `updates[lo..hi)` (one delete-free run), appending one
@@ -524,14 +422,11 @@ class ViewEngineBase : public ContinuousEngine {
   std::atomic<uint64_t> batch_steals_{0};
   std::atomic<uint64_t> footprint_cache_hits_{0};
 
-  /// Signature-group planner state (shared finalization + routing targets):
-  /// the groups and the qid -> group index. Rebuilt by EnsureFinalizeGroups
-  /// on the coordinator; immutable while a window is in flight.
-  bool shared_finalize_enabled_ = true;
-  bool route_enabled_ = true;
+  /// Signature-group planner state (shared finalization + routing targets).
+  /// Rebuilt by EnsureFinalizeGroups on the coordinator; immutable while a
+  /// window is in flight.
   bool finalize_groups_dirty_ = true;
   std::vector<std::unique_ptr<FinalizeGroup>> finalize_groups_;
-  std::unordered_map<QueryId, const FinalizeGroup*> group_of_query_;
 };
 
 }  // namespace gstream

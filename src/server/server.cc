@@ -54,6 +54,9 @@ struct Server::Conn {
   bool closing = false;
   /// Soft stop: the writer flushes the queue, then exits.
   bool close_after_flush = false;
+  /// Set once HelloAck is queued: the client's handshake expects HelloAck as
+  /// its first frame, so the writer sends no heartbeat before it.
+  bool hello_acked = false;
   std::atomic<uint64_t> notify_shed{0};
 };
 
@@ -153,7 +156,6 @@ bool Server::Start(std::string* error) {
         "acked without ever reaching the journal)");
 
   engine_ = CreateEngine(opts_.engine);
-  engine_->SetSharedFinalize(opts_.shared_finalize);
   engine_->SetBatchThreads(opts_.batch_threads);
   // Created before recovery so the replay rebuilds the live-edge horizon in
   // the exact manager live splicing continues from.
@@ -709,6 +711,8 @@ void Server::WriterLoop(std::shared_ptr<Conn> cp) {
   for (;;) {
     Conn::OutFrame frame;
     bool have = false;
+    bool heartbeat = false;
+    ProgressMsg m;
     {
       std::unique_lock<std::mutex> lock(c.out_mu);
       c.out_data.wait_for(
@@ -723,6 +727,11 @@ void Server::WriterLoop(std::shared_ptr<Conn> cp) {
         c.out_space.notify_all();
       } else if (c.close_after_flush) {
         break;  // flushed
+      } else if (c.hello_acked) {
+        // Decided under the same lock as the empty-queue check, so a
+        // HelloAck queued concurrently is always sent first.
+        heartbeat = true;
+        if (c.producer != nullptr) m.producer_acked = c.producer->acked.load();
       }
     }
     if (have) {
@@ -738,15 +747,10 @@ void Server::WriterLoop(std::shared_ptr<Conn> cp) {
         break;
       }
       if (frame.sheddable) ++counters_.notifications_delivered;
-    } else {
+    } else if (heartbeat) {
       // Idle for a heartbeat period: a Progress frame doubles as the server
       // heartbeat and carries the client's durable offsets.
-      ProgressMsg m;
       m.applied_records = applied_records_.load();
-      {
-        std::lock_guard<std::mutex> lock(c.out_mu);
-        if (c.producer != nullptr) m.producer_acked = c.producer->acked.load();
-      }
       m.notify_shed = c.notify_shed.load();
       const auto bytes = EncodeProgress(m);
       if (!SendAll(c.fd, bytes.data(), bytes.size())) {
@@ -906,6 +910,10 @@ void Server::ProcessControlOps() {
           ack.resume_status = static_cast<uint8_t>(ResumeStatus::kReplayed);
         }
         EnqueueOutbound(c, EncodeHelloAck(ack), false);
+        {
+          std::lock_guard<std::mutex> lock(c.out_mu);
+          c.hello_acked = true;
+        }
         if (op.hello.resume_notify != kNoOffset) {
           for (const NotifyLogEntry& e : notify_log_)
             if (e.record_index >= resume) SendNotifyTo(c, e);

@@ -48,7 +48,6 @@ struct ServerOptions {
   /// machinery runs behind the socket front-end).
   size_t batch_window = 32;
   int batch_threads = 1;
-  bool shared_finalize = true;
 
   /// Decode->apply ring between connection readers and the apply thread.
   size_t ring_capacity = 8;

@@ -236,7 +236,7 @@ bool TricEngine::RouteUpdate(const EdgeUpdate& u, DeltaScratch& ds,
   // label. Base-view patterns are a subset of the node patterns (every
   // signature element becomes a node), so there is nothing to maintain at
   // all — the whole update is an O(words) reject.
-  if (route_enabled() && !forest_.MayMatch(u)) {
+  if (!forest_.MayMatch(u)) {
     NotePrefilterReject();
     return true;
   }
@@ -245,18 +245,10 @@ bool TricEngine::RouteUpdate(const EdgeUpdate& u, DeltaScratch& ds,
   // route it to the matching trie nodes via the node-granular edgeInd.
   AppendToBaseViews(u);
 
+  // Class-mask-gated probing: only the endpoint generalizations some
+  // registered pattern actually uses are looked up (deduplicated).
   std::vector<TrieNode*> matching;
-  if (route_enabled()) {
-    // Class-mask-gated probing: only the endpoint generalizations some
-    // registered pattern actually uses are looked up (deduplicated).
-    forest_.RouteNodes(u, matching);
-  } else {
-    for (const auto& g : Generalizations(u)) {
-      const std::vector<TrieNode*>* nodes = forest_.NodesFor(g);
-      if (nodes != nullptr)
-        matching.insert(matching.end(), nodes->begin(), nodes->end());
-    }
-  }
+  forest_.RouteNodes(u, matching);
   std::sort(matching.begin(), matching.end(), [](const TrieNode* a, const TrieNode* b) {
     return a->depth != b->depth ? a->depth < b->depth : a->seq < b->seq;
   });
@@ -553,67 +545,10 @@ bool TricEngine::EvaluateWindowTagged(QueryEntry& entry,
   return true;
 }
 
-void TricEngine::FinalizeWindow(WindowContext& ctx, UpdateResult* window_results) {
-  TricWindowContext& wctx = static_cast<TricWindowContext&>(ctx);
-  if (route_enabled()) {
-    FinalizeWindowRouted(wctx, window_results);
-    return;
-  }
-  if (wctx.affected_terminals.empty()) return;
-
-  // Group the window's affected covering paths per query, ascending qid, so
-  // AddQueryCount calls keep every per-update result vector sorted.
-  std::vector<std::pair<QueryId, uint32_t>> affected_paths;  // (qid, path idx)
-  for (TrieNode* node : wctx.affected_terminals)
-    for (const PathRef& ref : node->paths) affected_paths.emplace_back(ref.qid, ref.path_idx);
-  std::sort(affected_paths.begin(), affected_paths.end());
-  NoteRoutedCandidates(affected_paths.size());
-
-  size_t i = 0;
-  while (i < affected_paths.size()) {
-    const QueryId qid = affected_paths[i].first;
-    size_t j = i;
-    while (j < affected_paths.size() && affected_paths[j].first == qid) ++j;
-
-    if (BudgetExceededNow()) return;  // timeout: partial, flagged by the caller
-
-    // Shared finalization (§9): signature-equal queries are affected through
-    // the same terminals, so the first member of a group evaluates and every
-    // later member replays the memoized tags — the window key (affected path
-    // set) double-checks that assumption at runtime.
-    SharedFinalizeMemo* memo = SharedMemoFor(qid, wctx);
-    std::vector<uint64_t> window_key;
-    if (memo != nullptr) {
-      window_key.reserve(j - i);
-      for (size_t k = i; k < j; ++k) window_key.push_back(affected_paths[k].second);
-      if (memo->evaluated && memo->runtime_key == window_key) {
-        ReplaySharedTags(*memo, qid, window_results);
-        i = j;
-        continue;
-      }
-    }
-
-    std::vector<uint32_t> path_idxs;
-    path_idxs.reserve(j - i);
-    for (size_t k = i; k < j; ++k) path_idxs.push_back(affected_paths[k].second);
-    i = j;
-
-    QueryEntry& entry = queries_.at(qid);
-    bool pass_ran = false;
-    std::vector<uint32_t> tags;
-    if (!EvaluateWindowTagged(entry, path_idxs, wctx, SharedGroupSize(qid),
-                              pass_ran, tags))
-      return;
-    if (memo != nullptr) memo->Store(pass_ran, std::move(window_key), &tags);
-    ScatterTagCounts(tags, qid, window_results);
-  }
-}
-
 void TricEngine::OnRouteGroupsRebuilt() {
   // One bump invalidates every node's annotations at once; the rebuild below
   // re-stamps exactly the terminals the live groups route through.
   ++route_stamp_;
-  if (!route_enabled()) return;
   for (const auto& group : finalize_groups()) {
     // Signature-equal members reference identical terminals at identical
     // path indices (the signature pins terminal->seq per path in order), so
@@ -630,15 +565,14 @@ void TricEngine::OnRouteGroupsRebuilt() {
   }
 }
 
-void TricEngine::FinalizeWindowRouted(TricWindowContext& wctx,
-                                      UpdateResult* window_results) {
+void TricEngine::FinalizeWindow(WindowContext& ctx, UpdateResult* window_results) {
+  TricWindowContext& wctx = static_cast<TricWindowContext&>(ctx);
   if (wctx.affected_terminals.empty()) return;
   const auto& groups = finalize_groups();
 
   // Expand the affected terminals through their group annotations into
-  // (group id, representative path idx) pairs — the routed counterpart of
-  // the legacy (qid, path idx) expansion, with fan-out per signature group
-  // instead of per query. Sorted so each group's paths form one run.
+  // (group id, representative path idx) pairs: fan-out per signature group,
+  // not per query. Sorted so each group's paths form one run.
   std::vector<std::pair<uint32_t, uint32_t>> affected;  // (group id, path idx)
   for (TrieNode* node : wctx.affected_terminals) {
     // Every path-holding terminal is some representative's terminal, and the
@@ -663,38 +597,17 @@ void TricEngine::FinalizeWindowRouted(TricWindowContext& wctx,
     for (size_t k = i; k < j; ++k) path_idxs.push_back(affected[k].second);
     i = j;
 
+    // Evaluate the group's representative once; the tagged assignment set
+    // serves every member (groups that cannot share are singletons).
     const FinalizeGroup& group = *groups[gid];
-    if (GroupSharingApplies(group)) {
-      // Evaluate the group's representative once; the tagged assignment set
-      // serves every member — the same invariant as the legacy memo path,
-      // without materializing per-member work items.
-      QueryEntry& rep = queries_.at(group.members[0]);
-      bool pass_ran = false;
-      std::vector<uint32_t> tags;
-      if (!EvaluateWindowTagged(rep, path_idxs, wctx,
-                                static_cast<uint32_t>(group.members.size()),
-                                pass_ran, tags))
-        return;
-      if (pass_ran) NoteSharedGroupPass();
-      if (tags.empty()) continue;
-      for (QueryId qid : group.members) {
-        std::vector<uint32_t> member_tags = tags;
-        ScatterTagCounts(member_tags, qid, window_results);
-      }
-    } else {
-      // Sharing off (or the signature opted out): per-member evaluations,
-      // still routed group-at-a-time. Signature-equal members share the
-      // representative's path indices.
-      for (QueryId qid : group.members) {
-        if (BudgetExceededNow()) return;
-        bool pass_ran = false;
-        std::vector<uint32_t> tags;
-        if (!EvaluateWindowTagged(queries_.at(qid), path_idxs, wctx,
-                                  /*probe_weight=*/1, pass_ran, tags))
-          return;
-        ScatterTagCounts(tags, qid, window_results);
-      }
-    }
+    bool pass_ran = false;
+    std::vector<uint32_t> tags;
+    if (!EvaluateWindowTagged(queries_.at(group.members[0]), path_idxs, wctx,
+                              static_cast<uint32_t>(group.members.size()),
+                              pass_ran, tags))
+      return;
+    if (pass_ran && GroupSharingApplies(group)) NoteSharedGroupPass();
+    for (QueryId qid : group.members) ScatterTagCounts(tags, qid, window_results);
   }
 }
 

@@ -87,17 +87,24 @@ class TricEngine : public ViewEngineBase {
   /// base views), the parents they join against, and the queries they can
   /// finalize (whose *other* covering-path terminals the final join reads).
   void BuildPatternReach() override;
+
+  /// The per-update insert (single inserts and windows of one): route,
+  /// cascade, then finalize the affected queries directly, with no signature
+  /// grouping and no provenance tags. Kept beside the window path because a
+  /// window of one measured +57% notify p50 on snb-churn and -8% records/s
+  /// on snb-qdb2500 (DESIGN.md §7.6).
   UpdateResult ProcessInsert(const EdgeUpdate& u) override;
 
   /// Window-delta pipeline (DESIGN.md §7): maintenance routes + cascades per
   /// update (checkpointing touched node views), FinalizeWindow runs one
-  /// tagged final-join pass per (query, window) over the accumulated
-  /// terminal deltas — one per (signature group, window) under shared
-  /// finalization (§9).
-  bool SupportsWindowDelta() const override { return true; }
+  /// tagged final-join pass per (signature group, window) over the
+  /// accumulated terminal deltas (§9).
   std::unique_ptr<WindowContext> NewWindowContext() override;
   void ProcessInsertDelta(const EdgeUpdate& u, WindowContext& ctx,
                           UpdateResult& result) override;
+  /// Expands the affected terminals into (signature group, path idx) pairs
+  /// via the stamped annotations (DESIGN.md §12) and runs one evaluation per
+  /// group, fanning tags out to every member.
   void FinalizeWindow(WindowContext& ctx, UpdateResult* window_results) override;
 
   /// Shared-finalize signature (DESIGN.md §9): per covering path the shared
@@ -192,19 +199,13 @@ class TricEngine : public ViewEngineBase {
   void FinalizeQueries(UpdateResult& result, DeltaScratch& ds);
 
   /// One tagged whole-window final join of `entry` seeded from the covering
-  /// paths in `path_idxs` (the shared body of the legacy and routed
-  /// FinalizeWindow paths). `pass_ran` is false when the feasibility gate
+  /// paths in `path_idxs`. `pass_ran` is false when the feasibility gate
   /// skipped the evaluation. Returns false on a budget abort (the caller
   /// must end the finalize).
   bool EvaluateWindowTagged(QueryEntry& entry,
                             const std::vector<uint32_t>& path_idxs,
                             TricWindowContext& wctx, uint32_t probe_weight,
                             bool& pass_ran, std::vector<uint32_t>& tags);
-
-  /// Routed finalize (DESIGN.md §12): expands the affected terminals into
-  /// (signature group, path idx) pairs via the stamped annotations and runs
-  /// one evaluation per group, fanning tags out to every member.
-  void FinalizeWindowRouted(TricWindowContext& wctx, UpdateResult* window_results);
 
   /// Edge deletion (paper §4.3): retracts the tuple from the base views,
   /// then walks the affected tries removing every prefix-view row that used

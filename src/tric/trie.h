@@ -46,7 +46,7 @@ struct TrieNode {
   /// (window-delta pipeline; written only by the node's owning shard).
   uint64_t window_affected_epoch = 0;
 
-  /// Routed-finalize projection of `paths` (DESIGN.md §12): the signature
+  /// Window-finalize projection of `paths` (DESIGN.md §12): the signature
   /// groups whose representative member has a covering path terminating here,
   /// as (group id, representative's path index) pairs. Valid only while
   /// `route_stamp` equals the engine's group-rebuild stamp — stale lists are

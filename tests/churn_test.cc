@@ -405,53 +405,61 @@ TEST(ChurnDirected, MixedEventBatchWindowsMatchSequentialByteForByte) {
 }
 
 TEST(ChurnDirected, FinalJoinPassesTrackTheLiveQdb) {
-  // One pass per (affected query, window) with shared finalization off:
-  // after removing one of two affected queries, a window costs one pass
-  // instead of two — the removed query must not leave finalize work behind.
-  // (q0 and q1 are signature-equal, so the default shared mode collapses
-  // them into one pass per window from the start; that mode is asserted
-  // separately below and in shared_finalize_test.)
+  // One pass per (affected signature group, window): after removing one of
+  // two affected queries, a window costs one pass instead of two — the
+  // removed query must not leave finalize work behind. `edge` and `path`
+  // have different signatures (two groups); `edge` and `twin` are
+  // signature-equal (one shared group). Every window is also checked against
+  // the naive oracle, per update.
   StringInterner in;
-  QueryPattern q0 = Parse("(?a)-[r]->(?b)", in);
-  QueryPattern q1 = Parse("(?x)-[r]->(?y)", in);
+  QueryPattern edge = Parse("(?a)-[r]->(?b)", in);
+  QueryPattern twin = Parse("(?x)-[r]->(?y)", in);
+  QueryPattern path = Parse("(?a)-[r]->(?b); (?b)-[r]->(?c)", in);
   LabelId rl = in.Intern("r");
   auto v = [&](int i) { return in.Intern("v" + std::to_string(i)); };
+
+  std::vector<EdgeUpdate> window1, window2;
+  for (int i = 0; i < 8; ++i)
+    window1.push_back({v(i), rl, v(i + 1), UpdateOp::kAdd});
+  for (int i = 20; i < 28; ++i)
+    window2.push_back({v(i), rl, v(i + 1), UpdateOp::kAdd});
 
   const EngineKind view_kinds[] = {EngineKind::kTric, EngineKind::kTricPlus,
                                    EngineKind::kInv,  EngineKind::kInvPlus,
                                    EngineKind::kInc,  EngineKind::kIncPlus};
   for (EngineKind kind : view_kinds) {
-    auto engine = CreateEngine(kind);
-    engine->SetSharedFinalize(false);
-    auto shared = CreateEngine(kind);
-    engine->AddQuery(0, q0);
-    engine->AddQuery(1, q1);
-    shared->AddQuery(0, q0);
-    shared->AddQuery(1, q1);
+    for (const QueryPattern* second : {&path, &twin}) {
+      const bool shared = second == &twin;
+      const std::string label = std::string(EngineKindName(kind)) +
+                                (shared ? " (twin pair)" : " (distinct pair)");
+      auto engine = CreateEngine(kind);
+      auto oracle = CreateEngine(EngineKind::kNaive);
+      engine->AddQuery(0, edge);
+      engine->AddQuery(1, *second);
+      oracle->AddQuery(0, edge);
+      oracle->AddQuery(1, *second);
+      const auto run = [&](const std::vector<EdgeUpdate>& w) {
+        std::vector<UpdateResult> got = engine->ApplyBatch(w.data(), w.size());
+        ASSERT_EQ(got.size(), w.size()) << label;
+        for (size_t k = 0; k < w.size(); ++k) {
+          const UpdateResult expected = oracle->ApplyUpdate(w[k]);
+          ASSERT_EQ(got[k].per_query, expected.per_query) << label << " at " << k;
+          ASSERT_EQ(got[k].triggered, expected.triggered) << label << " at " << k;
+        }
+      };
 
-    std::vector<EdgeUpdate> window1, window2;
-    for (int i = 0; i < 8; ++i)
-      window1.push_back({v(i), rl, v(i + 1), UpdateOp::kAdd});
-    for (int i = 20; i < 28; ++i)
-      window2.push_back({v(i), rl, v(i + 1), UpdateOp::kAdd});
+      run(window1);
+      EXPECT_EQ(engine->final_join_passes(), shared ? 1u : 2u) << label;
+      EXPECT_EQ(engine->shared_finalize_groups(), shared ? 1u : 0u) << label;
 
-    engine->ApplyBatch(window1.data(), window1.size());
-    shared->ApplyBatch(window1.data(), window1.size());
-    const uint64_t after_first = engine->final_join_passes();
-    EXPECT_EQ(after_first, 2u) << engine->name() << " (two live queries)";
-    EXPECT_EQ(shared->final_join_passes(), 1u)
-        << shared->name() << " (signature-equal pair shares one pass)";
-
-    ASSERT_TRUE(engine->RemoveQuery(1));
-    ASSERT_TRUE(shared->RemoveQuery(1));
-    engine->ApplyBatch(window2.data(), window2.size());
-    shared->ApplyBatch(window2.data(), window2.size());
-    EXPECT_EQ(engine->final_join_passes(), after_first + 1)
-        << engine->name() << " (one survivor)";
-    EXPECT_EQ(shared->final_join_passes(), 2u)
-        << shared->name() << " (survivor runs its own pass)";
-    EXPECT_EQ(shared->shared_finalize_groups(), 1u)
-        << shared->name() << " (only window 1 fanned out)";
+      ASSERT_TRUE(engine->RemoveQuery(1));
+      ASSERT_TRUE(oracle->RemoveQuery(1));
+      run(window2);
+      EXPECT_EQ(engine->final_join_passes(), shared ? 2u : 3u)
+          << label << " (one survivor, one pass)";
+      EXPECT_EQ(engine->shared_finalize_groups(), shared ? 1u : 0u)
+          << label << " (only a window with both twins fans out)";
+    }
   }
 }
 

@@ -21,13 +21,11 @@ namespace {
 ///    target whose pattern the edge satisfies, each once) under arbitrary
 ///    Add/Remove churn and deferred compaction;
 ///  * the prefilter is exact per label/endpoint class and refcounted;
-///  * routed engine dispatch is a pure execution strategy: byte-identical
-///    results to the legacy linear dispatch and to sequential per-update
-///    execution, across all view engines, under mixed AddQuery/RemoveQuery
-///    churn;
-///  * candidate work collapses: tenant-duplicated query DBs route the same
-///    candidate count as a single tenant, while the legacy path scales with
-///    the duplication factor;
+///  * routed engine dispatch is a pure execution strategy: results identical
+///    to the naive oracle's, per update, across all view engines, under
+///    mixed AddQuery/RemoveQuery churn;
+///  * candidate work collapses: tenant-duplicated query DBs route exactly
+///    the candidate count of a single tenant;
 ///  * edges whose label no query mentions are rejected by the prefilter
 ///    without touching any engine view.
 
@@ -147,24 +145,32 @@ TEST(RouteIndexUnit, PrefilterTracksEndpointClassesExactly) {
 
 // ------------------------------------------------------- engine-level oracle
 
-/// Streams `updates` in windows of `window` through three engines — routed
-/// (default), legacy linear dispatch, and sequential per-update — applying
-/// the scripted query adds/removes between windows. All three must agree
-/// exactly, per update, and the routed engine must never dispatch more
-/// candidate work than the legacy scan.
+/// Feeds `updates[pos..pos+n)` to the oracle one at a time and asserts the
+/// engine's window results `got` equal its per-update results.
+void ExpectWindowMatchesOracle(const std::vector<UpdateResult>& got,
+                               ContinuousEngine& oracle, const EdgeUpdate* updates,
+                               size_t pos, size_t n, const std::string& label) {
+  ASSERT_EQ(got.size(), n) << label;
+  for (size_t k = 0; k < n; ++k) {
+    const UpdateResult expected = oracle.ApplyUpdate(updates[pos + k]);
+    ASSERT_EQ(got[k].per_query, expected.per_query) << label << " at " << pos + k;
+    ASSERT_EQ(got[k].triggered, expected.triggered) << label << " at " << pos + k;
+  }
+}
+
+/// Streams `updates` in windows of `window` through a view engine and the
+/// naive oracle, applying the scripted query adds/removes between windows.
+/// The two must agree exactly, per update.
 void ExpectRoutedAgrees(EngineKind kind, const std::vector<QueryPattern>& base,
                         const std::vector<QueryPattern>& pool,
                         const std::vector<EdgeUpdate>& updates, size_t window,
                         uint32_t add_period, uint32_t remove_period,
                         const std::string& label) {
   auto routed = CreateEngine(kind);
-  auto legacy = CreateEngine(kind);
-  auto sequential = CreateEngine(kind);
-  legacy->SetRouteIndex(false);
+  auto oracle = CreateEngine(EngineKind::kNaive);
   for (QueryId qid = 0; qid < base.size(); ++qid) {
     routed->AddQuery(qid, base[qid]);
-    legacy->AddQuery(qid, base[qid]);
-    sequential->AddQuery(qid, base[qid]);
+    oracle->AddQuery(qid, base[qid]);
   }
 
   QueryId next_qid = static_cast<QueryId>(base.size());
@@ -180,8 +186,7 @@ void ExpectRoutedAgrees(EngineKind kind, const std::vector<QueryPattern>& base,
         next_pool < pool.size()) {
       const QueryId qid = next_qid++;
       routed->AddQuery(qid, pool[next_pool]);
-      legacy->AddQuery(qid, pool[next_pool]);
-      sequential->AddQuery(qid, pool[next_pool]);
+      oracle->AddQuery(qid, pool[next_pool]);
       ++next_pool;
       live.push_back(qid);
     }
@@ -192,39 +197,20 @@ void ExpectRoutedAgrees(EngineKind kind, const std::vector<QueryPattern>& base,
       const QueryId qid = live[victim];
       live.erase(live.begin() + victim);
       ASSERT_TRUE(routed->RemoveQuery(qid)) << label;
-      ASSERT_TRUE(legacy->RemoveQuery(qid)) << label;
-      ASSERT_TRUE(sequential->RemoveQuery(qid)) << label;
+      ASSERT_TRUE(oracle->RemoveQuery(qid)) << label;
     }
     ++wave;
 
     const size_t n = std::min(window, updates.size() - pos);
-    std::vector<UpdateResult> got_routed = routed->ApplyBatch(&updates[pos], n);
-    std::vector<UpdateResult> got_legacy = legacy->ApplyBatch(&updates[pos], n);
-    ASSERT_EQ(got_routed.size(), n) << label;
-    ASSERT_EQ(got_legacy.size(), n) << label;
-    for (size_t k = 0; k < n; ++k) {
-      const UpdateResult expected = sequential->ApplyUpdate(updates[pos + k]);
-      ASSERT_EQ(got_routed[k].per_query, expected.per_query)
-          << label << ": " << routed->name() << " routed vs sequential at "
-          << pos + k;
-      ASSERT_EQ(got_routed[k].triggered, expected.triggered)
-          << label << ": " << routed->name() << " routed vs sequential at "
-          << pos + k;
-      ASSERT_EQ(got_routed[k].per_query, got_legacy[k].per_query)
-          << label << ": " << routed->name() << " routed vs legacy at "
-          << pos + k;
-      ASSERT_EQ(got_routed[k].triggered, got_legacy[k].triggered)
-          << label << ": " << routed->name() << " routed vs legacy at "
-          << pos + k;
-    }
+    ExpectWindowMatchesOracle(routed->ApplyBatch(&updates[pos], n), *oracle,
+                              updates.data(), pos, n,
+                              label + ": " + routed->name());
+    if (::testing::Test::HasFatalFailure()) return;
     pos += n;
   }
-  EXPECT_LE(routed->routed_candidates(), legacy->routed_candidates())
-      << label << ": " << routed->name();
-  EXPECT_EQ(legacy->prefilter_rejects(), 0u) << label;
 }
 
-TEST(RoutedDispatch, AgreesWithLegacyAndSequentialUnderChurn) {
+TEST(RoutedDispatch, AgreesWithOracleUnderChurn) {
   workload::SnbConfig cfg;
   cfg.num_updates = 400;
   cfg.seed = 19;
@@ -245,7 +231,8 @@ TEST(RoutedDispatch, AgreesWithLegacyAndSequentialUnderChurn) {
     SCOPED_TRACE(EngineKindName(kind));
     ExpectRoutedAgrees(kind, base, pool, w.stream.updates(), /*window=*/16,
                        /*add_period=*/2, /*remove_period=*/3, "snb churn");
-    // Window of 1 drives the sequential delta path with routing on.
+    // Windows of one take the single-insert path (TRIC's per-update insert,
+    // the other engines' one-position window).
     ExpectRoutedAgrees(kind, base, pool, w.stream.updates(), /*window=*/1,
                        /*add_period=*/5, /*remove_period=*/7, "snb window=1");
   }
@@ -271,33 +258,26 @@ TEST(RoutedDispatch, CandidateCountCollapsesUnderTenantDuplication) {
     SCOPED_TRACE(EngineKindName(kind));
     auto one = CreateEngine(kind);
     auto many = CreateEngine(kind);
-    auto many_legacy = CreateEngine(kind);
-    many_legacy->SetRouteIndex(false);
+    auto oracle = CreateEngine(EngineKind::kNaive);
     QueryId qid = 0;
     for (const QueryPattern& q : distinct) one->AddQuery(qid++, q);
     qid = 0;
     for (size_t t = 0; t < kTenants; ++t) {
       for (const QueryPattern& q : distinct) {
         many->AddQuery(qid, q);
-        many_legacy->AddQuery(qid, q);
+        oracle->AddQuery(qid, q);
         ++qid;
       }
     }
-    std::vector<UpdateResult> a = many->ApplyBatch(updates.data(), updates.size());
-    std::vector<UpdateResult> b =
-        many_legacy->ApplyBatch(updates.data(), updates.size());
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t k = 0; k < a.size(); ++k)
-      ASSERT_EQ(a[k].per_query, b[k].per_query) << many->name() << " at " << k;
+    ExpectWindowMatchesOracle(many->ApplyBatch(updates.data(), updates.size()),
+                              *oracle, updates.data(), 0, updates.size(),
+                              many->name());
     one->ApplyBatch(updates.data(), updates.size());
 
     // Routing dispatches shared targets (groups / trie nodes): duplicating
-    // every query 8x must not change the routed candidate count, while the
-    // legacy per-query scan scales with the duplication factor.
+    // every query 8x must not change the routed candidate count.
+    EXPECT_GT(one->routed_candidates(), 0u) << one->name();
     EXPECT_EQ(many->routed_candidates(), one->routed_candidates())
-        << many->name();
-    EXPECT_GE(many_legacy->routed_candidates(),
-              many->routed_candidates() * (kTenants / 2))
         << many->name();
   }
 }
@@ -318,28 +298,27 @@ TEST(RoutedDispatch, PrefilterRejectsUnregisteredLabels) {
     SCOPED_TRACE(EngineKindName(kind));
     for (size_t window : {size_t{1}, size_t{6}}) {
       auto routed = CreateEngine(kind);
-      auto legacy = CreateEngine(kind);
-      legacy->SetRouteIndex(false);
+      auto oracle = CreateEngine(EngineKind::kNaive);
       routed->AddQuery(0, q);
-      legacy->AddQuery(0, q);
+      oracle->AddQuery(0, q);
       size_t pos = 0;
       while (pos < updates.size()) {
         const size_t n = std::min(window, updates.size() - pos);
-        std::vector<UpdateResult> a = routed->ApplyBatch(&updates[pos], n);
-        std::vector<UpdateResult> b = legacy->ApplyBatch(&updates[pos], n);
-        ASSERT_EQ(a.size(), n);
-        ASSERT_EQ(b.size(), n);
-        for (size_t k = 0; k < n; ++k)
-          ASSERT_EQ(a[k].per_query, b[k].per_query)
-              << routed->name() << " window=" << window << " at " << pos + k;
+        ExpectWindowMatchesOracle(routed->ApplyBatch(&updates[pos], n), *oracle,
+                                  updates.data(), pos, n,
+                                  routed->name() + " window=" + std::to_string(window));
         pos += n;
       }
       // Half the stream carries a label no query mentions: the routed engine
-      // rejects those updates in O(1); the legacy engine never prefilters.
+      // rejects those updates in O(1).
       EXPECT_EQ(routed->prefilter_rejects(), updates.size() / 2)
           << routed->name() << " window=" << window;
-      EXPECT_EQ(legacy->prefilter_rejects(), 0u) << routed->name();
-      EXPECT_LE(routed->routed_candidates(), legacy->routed_candidates())
+      // Each of the 8 knows inserts routes to the query's one target. TRIC's
+      // window finalize counts an affected terminal once per window instead:
+      // the 16 updates form 3 windows of <= 6, each holding knows inserts.
+      const bool tric = kind == EngineKind::kTric || kind == EngineKind::kTricPlus;
+      const uint64_t expected = tric && window > 1 ? 3u : updates.size() / 2;
+      EXPECT_EQ(routed->routed_candidates(), expected)
           << routed->name() << " window=" << window;
     }
   }

@@ -286,6 +286,24 @@ TEST(ServerLoopback, IdleConnectionIsDisconnected) {
   EXPECT_GE(server.stats().idle_disconnects, 1u);
 }
 
+TEST(ServerLoopback, HeartbeatFasterThanApplyTickNeverPrecedesHelloAck) {
+  // The apply loop queues HelloAck on its next control-op tick (up to 20 ms
+  // after the attach); a 1 ms heartbeat fires many times in that gap. The
+  // client's handshake must still see HelloAck first, every time.
+  ServerOptions opts = FastServerOptions();
+  opts.heartbeat_millis = 1;
+  opts.window_flush_millis = 20;
+  Server server(opts);
+  std::string err;
+  ASSERT_TRUE(server.Start(&err)) << err;
+  for (int i = 0; i < 20; ++i) {
+    Client client(ClientOptionsFor(server, "hb" + std::to_string(i)));
+    ASSERT_TRUE(client.Connect(&err)) << "attempt " << i << ": " << err;
+    client.Close();
+  }
+  server.Drain();
+}
+
 TEST(ServerLoopback, BadPatternAcksErrorAndConnectionSurvives) {
   Server server(FastServerOptions());
   std::string err;

@@ -115,9 +115,9 @@ else
   echo "bench_smoke: fig12e_snb_overlap not built; skipping overlap lines" >&2
 fi
 
-# Query-DB scaling smoke: one tenant-duplication cell (routed vs legacy
-# linear dispatch A/B, DESIGN.md §12) small enough to complete inside the
-# tiny budget. Its BENCH_JSON lines carry updates/s for the throughput gate
+# Query-DB scaling smoke: one tenant-duplication cell (DESIGN.md §12) small
+# enough to complete inside the tiny budget. Its BENCH_JSON lines carry
+# updates/s for the throughput gate
 # and candidates_per_update for the routing-selectivity gate (a routed cell
 # whose candidate count starts scaling with |QDB| again fails the trajectory
 # diff even when throughput hides it).

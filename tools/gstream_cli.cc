@@ -7,8 +7,7 @@
 //               [--stream=FILE.csv] [--events=FILE.gse] [--gsb=FILE.gsb]
 //               [--engine=tric+|tric|inv|inv+|inc|inc+|graphdb]
 //               [--seed=N] [--verbose]
-//               [--batch=N] [--threads=N] [--no-shared-finalize]
-//               [--no-route-index]
+//               [--batch=N] [--threads=N]
 //
 // File replay (--gsb, see DESIGN.md §10): streams a checksummed binary
 // `.gsb` file (written by gstream_encode) through the fault-tolerant ingest
@@ -41,14 +40,6 @@
 // --batch=N feeds the engine windows of N updates through ApplyBatch (the
 // sharded batch path; results are identical to per-update execution), and
 // --threads=N fans footprint-independent shards across N threads.
-// --no-shared-finalize turns off cross-query shared window finalization
-// (DESIGN.md §9) so batched windows run one final-join pass per (query,
-// window) instead of one per signature group — results are identical; the
-// flag exists for A/B-ing the final-join pass counters below.
-// --no-route-index turns off the shared query routing index (DESIGN.md §12)
-// so each update is dispatched through the legacy linear scan over the
-// registered queries — results are identical; the flag exists for A/B-ing
-// the routed-candidate / prefilter-reject counters below.
 //
 // The query file holds one pattern per line (see query/parser.h for the
 // grammar); blank lines and lines starting with '#' are skipped. Example:
@@ -257,8 +248,8 @@ bool ParseCorrupt(const std::string& s, ingest::CorruptPolicy* out) {
 /// The `--gsb` file-replay mode: fault-tolerant binary ingest through the
 /// decode -> ring -> apply pipeline, with optional fault injection and
 /// snapshot/recovery (see the usage comment up top).
-int RunGsbMode(const Flags& flags, EngineKind kind, bool shared_finalize,
-               bool route_index, size_t batch, int threads, bool verbose) {
+int RunGsbMode(const Flags& flags, EngineKind kind, size_t batch, int threads,
+               bool verbose) {
   const std::string gsb_file = flags.GetString("gsb", "");
   const std::string query_file = flags.GetString("queries", "");
   if (query_file.empty()) {
@@ -336,8 +327,6 @@ int RunGsbMode(const Flags& flags, EngineKind kind, bool shared_finalize,
               session.header().dict_count, session.record_block_count());
 
   auto engine = CreateEngine(kind);
-  engine->SetSharedFinalize(shared_finalize);
-  engine->SetRouteIndex(route_index);
   // Queries intern against the stream's reconstructed dictionary, so their
   // label ids line up with the record frames'.
   const int num_queries =
@@ -476,14 +465,11 @@ int main(int argc, char** argv) {
   // Rejects 0/negative/non-numeric values with a clear error (exit 2).
   const size_t batch = static_cast<size_t>(flags.GetPositiveInt("batch", 1));
   const int threads = static_cast<int>(flags.GetPositiveInt("threads", 1));
-  const bool shared_finalize = !flags.GetBool("no-shared-finalize", false);
-  const bool route_index = !flags.GetBool("no-route-index", false);
   const EngineKind kind = ParseEngine(flags.GetString("engine", "tric+"));
 
   // Binary file replay through the fault-tolerant ingest pipeline.
   if (flags.Has("gsb"))
-    return RunGsbMode(flags, kind, shared_finalize, route_index, batch,
-                      threads, verbose);
+    return RunGsbMode(flags, kind, batch, threads, verbose);
 
   workload::Workload w;
   const std::string stream_file = flags.GetString("stream", "");
@@ -502,8 +488,6 @@ int main(int argc, char** argv) {
   }
 
   auto engine = CreateEngine(kind);
-  engine->SetSharedFinalize(shared_finalize);
-  engine->SetRouteIndex(route_index);
   QueryId next_qid = 0;
   if (!query_file.empty()) {
     const int loaded = LoadQueries(query_file, *w.interner, *engine, verbose);
@@ -591,13 +575,10 @@ int main(int argc, char** argv) {
               engine->name().c_str(), engine->NumQueries());
 
   // Effective execution configuration, always reported: per-update vs the
-  // window-delta batch pipeline, the shard worker count, and whether window
-  // finalization is shared across signature-equal queries.
+  // window-delta batch pipeline and the shard worker count.
   if (batch > 1) {
-    std::printf("execution: window-delta batch (window=%zu threads=%d%s%s)\n",
-                batch, threads,
-                shared_finalize ? "" : ", shared finalize OFF",
-                route_index ? "" : ", route index OFF");
+    std::printf("execution: window-delta batch (window=%zu threads=%d)\n",
+                batch, threads);
     engine->SetBatchThreads(threads);
   } else {
     std::printf("execution: per-update (batch=1 threads=1)\n");

@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
   opts.engine = ParseEngine(flags.GetString("engine", "tric+"));
   opts.batch_window = static_cast<size_t>(flags.GetPositiveInt("window", 32));
   opts.batch_threads = static_cast<int>(flags.GetPositiveInt("threads", 1));
-  opts.shared_finalize = flags.GetBool("shared-finalize", true);
   opts.ring_capacity =
       static_cast<size_t>(flags.GetPositiveInt("ring-capacity", 8));
   if (!ParseOverload(flags.GetString("overload", "block"),
