@@ -15,23 +15,10 @@ namespace bench {
 
 BenchOptions BenchOptions::FromArgs(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
-  static const char* kKnown[] = {"full",    "budget-sec", "cell-budget-sec",
-                                 "seed",    "csv",        "batch",
-                                 "threads", "tenants",    "help"};
-  bool usage_error = false;
-  for (const std::string& name : flags.Names()) {
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return name == k; }) == std::end(kKnown)) {
-      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
-      usage_error = true;
-    }
-  }
-  if (usage_error || flags.Has("help")) {
-    std::fprintf(stderr,
-                 "bench flags: --full --budget-sec=S --cell-budget-sec=S "
-                 "--seed=N --csv --batch=N --threads=N --tenants=N\n");
-    std::exit(usage_error ? 2 : 0);
-  }
+  flags.RejectUnknown({"full", "budget-sec", "cell-budget-sec", "seed", "csv",
+                       "batch", "threads", "tenants"},
+                      "bench flags: --full --budget-sec=S --cell-budget-sec=S "
+                      "--seed=N --csv --batch=N --threads=N --tenants=N");
   BenchOptions opts;
   opts.full = flags.GetBool("full", false);
   opts.budget_seconds =

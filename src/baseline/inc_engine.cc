@@ -7,16 +7,10 @@
 namespace gstream {
 namespace baseline {
 
-UpdateResult IncEngine::ApplyUpdate(const EdgeUpdate& u) {
+UpdateResult IncEngine::ApplyDelete(const EdgeUpdate& u) {
   UpdateResult result;
-  if (u.op == UpdateOp::kDelete) {
-    // INC owns no per-query state beyond the shared views; retracting the
-    // tuple is the whole story (deletions trigger nothing).
-    result.changed = RemoveFromBaseViews(u);
-    return result;
-  }
-  if (IsDuplicateUpdate(u)) return result;
-  return ProcessInsert(u);
+  result.changed = RemoveFromBaseViews(u);
+  return result;
 }
 
 bool IncEngine::EvaluateWindowSeeded(
@@ -147,17 +141,15 @@ void IncEngine::FinalizeWindow(WindowContext& ctx, UpdateResult* window_results)
     }
     i = j;
 
-    // One seeded evaluation of the representative serves every member
-    // (groups that cannot share are singletons).
-    const FinalizeGroup& group = *groups[gid];
+    // One seeded evaluation of the group's first member serves every member.
+    const FinalizeGroup& group = groups[gid];
     bool pass_ran = false;
-    std::vector<uint32_t> tags;
     if (!EvaluateWindowSeeded(queries_.at(group.members[0]), wctx, seeds,
                               static_cast<uint32_t>(group.members.size()),
-                              pass_ran, tags))
+                              pass_ran, wctx.tags))
       return;
-    if (pass_ran && GroupSharingApplies(group)) NoteSharedGroupPass();
-    for (QueryId qid : group.members) ScatterTagCounts(tags, qid, window_results);
+    if (pass_ran && group.members.size() >= 2) NoteSharedGroupPass();
+    for (QueryId qid : group.members) ScatterTagCounts(wctx.tags, qid, window_results);
   }
 }
 

@@ -28,9 +28,12 @@ class IncEngine : public InvertedIndexEngineBase {
   explicit IncEngine(bool enable_cache) : InvertedIndexEngineBase(enable_cache) {}
 
   std::string name() const override { return cache_ ? "INC+" : "INC"; }
-  UpdateResult ApplyUpdate(const EdgeUpdate& u) override;
 
  protected:
+  /// INC owns no per-query state beyond the shared views: retracting the
+  /// tuple is the whole story (deletions trigger nothing).
+  UpdateResult ApplyDelete(const EdgeUpdate& u) override;
+
   /// Window-delta pipeline (single inserts are windows of one): iterates the
   /// window's affected signature groups (DESIGN.md §12) and runs one tagged
   /// seeded evaluation of each group's representative — path deltas batched

@@ -59,27 +59,20 @@ void InvEngine::AddQueryImpl(QueryId qid, const QueryPattern& q) {
   if (EvaluateQueryTotal(entry, total)) entry.last_count = total;
 }
 
-UpdateResult InvEngine::ApplyUpdate(const EdgeUpdate& u) {
+UpdateResult InvEngine::ApplyDelete(const EdgeUpdate& u) {
   UpdateResult result;
-  if (u.op == UpdateOp::kDelete) {
-    result.changed = RemoveFromBaseViews(u);
-    if (!result.changed) return result;
-    // Counts may have dropped; refresh the diff baseline of the affected
-    // queries (deletions cannot trigger notifications).
-    for (QueryId qid : AffectedQueries(u)) {
-      QueryEntry& entry = queries_.at(qid);
-      uint64_t total = 0;
-      if (!EvaluateQueryTotal(entry, total)) {
-        result.timed_out = true;
-        return result;
-      }
-      entry.last_count = total;
+  result.changed = RemoveFromBaseViews(u);
+  if (!result.changed) return result;
+  for (QueryId qid : AffectedQueries(u)) {
+    QueryEntry& entry = queries_.at(qid);
+    uint64_t total = 0;
+    if (!EvaluateQueryTotal(entry, total)) {
+      result.timed_out = true;
+      return result;
     }
-    return result;
+    entry.last_count = total;
   }
-
-  if (IsDuplicateUpdate(u)) return result;
-  return ProcessInsert(u);
+  return result;
 }
 
 bool InvEngine::EvaluateWindowTagged(QueryEntry& entry, InvWindowContext& wctx,
@@ -171,18 +164,17 @@ void InvEngine::FinalizeWindow(WindowContext& ctx, UpdateResult* window_results)
 
     if (BudgetExceededNow()) return;  // timeout: partial, flagged by the caller
 
-    // Evaluate the group's representative once; the tagged histogram (and
-    // end-of-window total) serves every member (groups that cannot share are
-    // singletons).
-    const FinalizeGroup& group = *groups[gid];
+    // Evaluate the group's first member once; the tagged histogram (and
+    // end-of-window total) serves every member.
+    const FinalizeGroup& group = groups[gid];
     bool pass_ran = false;
-    std::vector<uint32_t> tags;
+    std::vector<uint32_t>& tags = wctx.tags;
     uint64_t total = 0;
     if (!EvaluateWindowTagged(queries_.at(group.members[0]), wctx,
                               static_cast<uint32_t>(group.members.size()),
                               pass_ran, tags, total))
       return;
-    if (pass_ran && GroupSharingApplies(group)) NoteSharedGroupPass();
+    if (pass_ran && group.members.size() >= 2) NoteSharedGroupPass();
     if (total == 0) continue;
     for (QueryId qid : group.members) {
       QueryEntry& entry = queries_.at(qid);

@@ -29,7 +29,6 @@ class InvEngine : public InvertedIndexEngineBase {
   explicit InvEngine(bool enable_cache) : InvertedIndexEngineBase(enable_cache) {}
 
   std::string name() const override { return cache_ ? "INV+" : "INV"; }
-  UpdateResult ApplyUpdate(const EdgeUpdate& u) override;
 
  protected:
   /// Registration plus, mid-stream, a snapshot of the query's current
@@ -38,6 +37,10 @@ class InvEngine : public InvertedIndexEngineBase {
   /// matches (the backfilled base views would otherwise all be reported as
   /// new on the first affecting update).
   void AddQueryImpl(QueryId qid, const QueryPattern& q) override;
+
+  /// Retracts the tuple; counts may have dropped, so the affected queries'
+  /// diff baselines are refreshed (deletions cannot trigger notifications).
+  UpdateResult ApplyDelete(const EdgeUpdate& u) override;
 
   /// Window-delta pipeline (single inserts are windows of one): iterates the
   /// window's affected signature groups (DESIGN.md §12), runs one tagged

@@ -1,7 +1,6 @@
 #include "baseline/inverted_common.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/mem_tracker.h"
@@ -9,13 +8,29 @@
 namespace gstream {
 namespace baseline {
 
+namespace {
+
+/// `q`'s genericized edge patterns, each once, in edge order: the
+/// granularity of the inverted indexes, the base-view references and the
+/// group routes.
+std::vector<GenericEdgePattern> DistinctPatterns(const QueryPattern& q) {
+  std::vector<GenericEdgePattern> out;
+  for (uint32_t e = 0; e < q.NumEdges(); ++e) {
+    GenericEdgePattern p = q.Genericized(e);
+    if (std::find(out.begin(), out.end(), p) == out.end()) out.push_back(p);
+  }
+  return out;
+}
+
+}  // namespace
+
 InvertedIndexEngineBase::InvertedIndexEngineBase(bool enable_cache)
     : cache_(enable_cache ? std::make_unique<JoinCache>() : nullptr) {
   if (!enable_cache) EnableWindowCache();
 }
 
 void InvertedIndexEngineBase::AddQueryImpl(QueryId qid, const QueryPattern& q) {
-  MarkReachDirty();
+  OnQueryAdded(qid);
 
   QueryEntry entry;
   entry.pattern = q;
@@ -29,10 +44,7 @@ void InvertedIndexEngineBase::AddQueryImpl(QueryId qid, const QueryPattern& q) {
   // are reference-counted at the same granularity (covering paths traverse
   // exactly the query's genericized edges), so RemoveQueryImpl releases
   // symmetrically from the distinct-pattern set alone.
-  std::unordered_set<GenericEdgePattern, GenericEdgePatternHash> distinct;
-  for (uint32_t e = 0; e < q.NumEdges(); ++e) {
-    GenericEdgePattern p = q.Genericized(e);
-    if (!distinct.insert(p).second) continue;
+  for (const GenericEdgePattern& p : DistinctPatterns(q)) {
     RefBaseView(p);
     edge_ind_.GetOrCreate(p).push_back(qid);
     source_ind_.GetOrCreate(p.src).push_back(p);
@@ -43,15 +55,11 @@ void InvertedIndexEngineBase::AddQueryImpl(QueryId qid, const QueryPattern& q) {
 }
 
 void InvertedIndexEngineBase::RemoveQueryImpl(QueryId qid) {
-  MarkReachDirty();
+  OnQueryRemoved(qid);
   QueryEntry entry = std::move(queries_.at(qid));
   queries_.erase(qid);
 
-  std::unordered_set<GenericEdgePattern, GenericEdgePatternHash> distinct;
-  for (uint32_t e = 0; e < entry.pattern.NumEdges(); ++e) {
-    GenericEdgePattern p = entry.pattern.Genericized(e);
-    if (!distinct.insert(p).second) continue;
-
+  for (const GenericEdgePattern& p : DistinctPatterns(entry.pattern)) {
     // edgeInd: drop this query's posting (registered exactly once per
     // distinct pattern). The pattern's sourceInd/targetInd entries are
     // per referencing query, so one occurrence goes with it; emptied
@@ -78,14 +86,12 @@ void InvertedIndexEngineBase::RemoveQueryImpl(QueryId qid) {
   }
 
   // One compaction per removal: release the erased postings' slots and the
-  // "+" cache's evicted entries so the GC shows up in MemoryBytes. The group
-  // routing postings are rebuilt (and compacted) wholesale with the next
-  // EnsureFinalizeGroups, so churn waves pay one deferred rebuild, not one
-  // per removal.
+  // "+" cache's evicted entries so the GC shows up in MemoryBytes.
   edge_ind_.Compact();
   source_ind_.Compact();
   target_ind_.Compact();
   prefilter_.Compact();
+  group_routes_.Compact();
   if (cache_ != nullptr) cache_->Compact();
   CompactSharedState();
 }
@@ -161,26 +167,18 @@ std::unique_ptr<Relation> InvertedIndexEngineBase::MaterializeFullPath(
   return current;
 }
 
-bool InvertedIndexEngineBase::EncodeFinalizeSignature(QueryId qid,
+void InvertedIndexEngineBase::EncodeFinalizeSignature(QueryId qid,
                                                       std::vector<uint64_t>& out) {
   const QueryEntry& entry = queries_.at(qid);
   for (size_t pi = 0; pi < entry.paths.size(); ++pi) {
     out.push_back(~1ull);  // path delimiter: (a)(b,c) and (a,b)(c) differ
+    // Pattern ids are stable while the query holds its base-view references.
     for (const GenericEdgePattern& p : entry.signatures[pi])
-      // Read-only lookup: PrepareFinalizeSignatures interned every id.
-      out.push_back(PatternElem(PatternIdIfKnown(p)));
+      out.push_back(PatternElem(PatternId(p)));
     out.push_back(~2ull);  // view ids above, binding spec below
     for (uint32_t v : entry.paths[pi].vertices) out.push_back(v);
   }
   AppendFilterSignature(entry.pattern, out);
-  return true;
-}
-
-void InvertedIndexEngineBase::PrepareFinalizeSignatures(
-    const std::vector<QueryId>& qids) {
-  for (QueryId qid : qids)
-    for (const auto& sig : queries_.at(qid).signatures)
-      for (const GenericEdgePattern& p : sig) PatternId(p);
 }
 
 void InvertedIndexEngineBase::ListQueryIds(std::vector<QueryId>& out) const {
@@ -210,16 +208,14 @@ void InvertedIndexEngineBase::ProcessInsertDelta(const EdgeUpdate& u,
     wctx.affected_groups.emplace_back(gid, ctx.position);
 }
 
-void InvertedIndexEngineBase::OnRouteGroupsRebuilt() {
-  group_routes_.Clear();
-  for (const auto& group : finalize_groups()) {
-    const QueryEntry& rep = queries_.at(group->members[0]);
-    std::unordered_set<GenericEdgePattern, GenericEdgePatternHash> distinct;
-    for (uint32_t e = 0; e < rep.pattern.NumEdges(); ++e) {
-      GenericEdgePattern p = rep.pattern.Genericized(e);
-      if (distinct.insert(p).second) group_routes_.Add(p, group->id);
-    }
-  }
+void InvertedIndexEngineBase::AddGroupRoutes(uint32_t gid, QueryId member) {
+  for (const GenericEdgePattern& p : DistinctPatterns(queries_.at(member).pattern))
+    group_routes_.Add(p, gid);
+}
+
+void InvertedIndexEngineBase::RemoveGroupRoutes(uint32_t gid, QueryId member) {
+  for (const GenericEdgePattern& p : DistinctPatterns(queries_.at(member).pattern))
+    GS_CHECK(group_routes_.Remove(p, gid));
 }
 
 std::unique_ptr<Relation> InvertedIndexEngineBase::MaterializeFullPathTagged(

@@ -61,12 +61,16 @@ class InvertedIndexEngineBase : public ViewEngineBase {
   /// signature patterns).
   void BuildPatternReach() override;
 
-  /// Shard-local delta-window context (window-delta pipeline, DESIGN.md §7):
-  /// the affected (signature group, window position) pairs accumulated
-  /// across the window (DESIGN.md §12). The engine-specific FinalizeWindow
+  /// Delta-window context (window-delta pipeline, DESIGN.md §7): the
+  /// affected (signature group, window position) pairs accumulated across
+  /// the window (DESIGN.md §12). The engine-specific FinalizeWindow
   /// overrides consume them to run one tagged evaluation per (group, window).
   /// Single inserts run the same pipeline as a window of one.
   struct InvWindowContext : WindowContext {
+    void Reset() override {
+      WindowContext::Reset();
+      affected_groups.clear();
+    }
     std::vector<std::pair<uint32_t, uint32_t>> affected_groups;
     std::vector<uint32_t> route_scratch;  ///< Route() output, reused.
   };
@@ -86,17 +90,14 @@ class InvertedIndexEngineBase : public ViewEngineBase {
   /// Equal encodings mean identical MaterializeFullPathTagged /
   /// MaterializePathDeltaBatch chains and identical final joins — INV and
   /// INC both qualify, so the hook lives here.
-  bool EncodeFinalizeSignature(QueryId qid, std::vector<uint64_t>& out) override;
-  /// Pre-interns every signature pattern id on the coordinator thread so the
-  /// (possibly pool-parallel) encodes above are pure lookups.
-  void PrepareFinalizeSignatures(const std::vector<QueryId>& qids) override;
+  void EncodeFinalizeSignature(QueryId qid, std::vector<uint64_t>& out) override;
   void ListQueryIds(std::vector<QueryId>& out) const override;
 
-  /// Rebuilds the group routing postings (DESIGN.md §12): one posting per
-  /// (distinct pattern of the group's representative member, group id).
-  /// Signature-equal members have identical distinct-pattern sets, so the
-  /// representative's set routes the whole group.
-  void OnRouteGroupsRebuilt() override;
+  /// The group routing postings (DESIGN.md §12): one posting per (distinct
+  /// pattern of `member`, group id). Signature-equal members have identical
+  /// distinct-pattern sets, so one member's set routes the whole group.
+  void AddGroupRoutes(uint32_t gid, QueryId member) override;
+  void RemoveGroupRoutes(uint32_t gid, QueryId member) override;
 
   struct QueryEntry {
     QueryPattern pattern;
@@ -160,14 +161,13 @@ class InvertedIndexEngineBase : public ViewEngineBase {
   /// visits the same edges the index navigation would.
   FlatMap<VertexId, std::vector<GenericEdgePattern>, VertexIdHash> source_ind_;
   FlatMap<VertexId, std::vector<GenericEdgePattern>, VertexIdHash> target_ind_;
-  /// Always-current label/class prefilter over the registered patterns,
-  /// maintained incrementally per distinct pattern in Add/RemoveQueryImpl —
-  /// always current, unlike the group routing postings below (which are only
-  /// rebuilt with the signature grouping).
+  /// Label/class prefilter over the registered patterns, maintained per
+  /// distinct pattern in Add/RemoveQueryImpl — current even for queries
+  /// still waiting to join a group.
   RoutePrefilter prefilter_;
   /// Routed dispatch (DESIGN.md §12): genericized pattern -> affected
   /// signature-group ids. Posting lengths track distinct query structure,
-  /// not tenant count. Rebuilt in OnRouteGroupsRebuilt.
+  /// not tenant count. Maintained per group by Add/RemoveGroupRoutes.
   RouteIndex<uint32_t> group_routes_;
 };
 

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -28,11 +29,19 @@ Flags Flags::Parse(int argc, char** argv) {
   return flags;
 }
 
-std::vector<std::string> Flags::Names() const {
-  std::vector<std::string> names;
-  names.reserve(values_.size());
-  for (const auto& [name, value] : values_) names.push_back(name);
-  return names;
+void Flags::RejectUnknown(const std::vector<std::string>& known,
+                          const std::string& usage) const {
+  bool unknown = false;
+  for (const auto& [name, value] : values_) {
+    if (name == "help" ||
+        std::find(known.begin(), known.end(), name) != known.end())
+      continue;
+    std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+    unknown = true;
+  }
+  if (!unknown && !Has("help")) return;
+  std::fprintf(stderr, "%s\n", usage.c_str());
+  std::exit(unknown ? 2 : 0);
 }
 
 std::string Flags::GetString(const std::string& name, const std::string& def) const {

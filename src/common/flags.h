@@ -8,9 +8,10 @@
 
 namespace gstream {
 
-/// Minimal `--key=value` / `--switch` command-line parser for the bench and
-/// example binaries. Unknown flags are collected so benchmark binaries can
-/// coexist with google-benchmark's own flags.
+/// Minimal `--key=value` / `--switch` command-line parser for the tools,
+/// bench and example binaries. Parse accepts any flag name, so binaries that
+/// share argv with google-benchmark's own flags still parse; binaries with a
+/// fixed flag set call RejectUnknown.
 class Flags {
  public:
   /// Parses argv; flags look like `--name=value` or bare `--name` (= "true").
@@ -38,9 +39,13 @@ class Flags {
   /// Positional (non-flag) arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Names of all flags present on the command line (sorted; for strict
-  /// parsers that reject unknown flags).
-  std::vector<std::string> Names() const;
+  /// Strict check for binaries with a fixed flag set: every flag present
+  /// but missing from `known` is named on stderr, then `usage` is printed
+  /// and the process exits with status 2 (a typo, or a flag a later version
+  /// removed, must not silently run a different configuration). `--help`
+  /// prints `usage` and exits 0.
+  void RejectUnknown(const std::vector<std::string>& known,
+                     const std::string& usage) const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -84,9 +84,8 @@ class WorkStealingDeque {
 }  // namespace internal
 
 /// Work-stealing batch scheduler for the engines' sharded window execution
-/// (`ViewEngineBase::ApplyBatch`) and the pool-parallel signature encode
-/// (`EnsureFinalizeGroups`). Replaces the PR 2 fixed `ThreadPool` whose
-/// one-task-per-executor striping starved under shard skew.
+/// (`ViewEngineBase::ApplyBatch`). Replaces the PR 2 fixed `ThreadPool`
+/// whose one-task-per-executor striping starved under shard skew.
 ///
 /// Topology: `threads` executors — executor 0 is the *coordinator* (the
 /// calling thread, which executes work inside `Wait()`), executors 1..P-1

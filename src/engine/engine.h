@@ -77,13 +77,12 @@ class ContinuousEngine {
   virtual size_t NumQueries() const = 0;
 
   /// Diagnostic counter: final-join passes executed so far (one pass =
-  /// joining one covering-path view set to produce matches). TRIC/TRIC+'s
-  /// per-update insert runs one pass per (query, update); the window-delta
-  /// pipeline runs one per (covering-path signature group, window) — N
-  /// queries joining the same shared views collapse into a single pass
-  /// (DESIGN.md §9). Tests and the bench harness read this to verify the
-  /// batching/sharing actually happened. Engines without a final-join stage
-  /// report 0.
+  /// joining one covering-path view set to produce matches). The view
+  /// engines run one per (covering-path signature group, window), a single
+  /// insert being a window of one — N queries joining the same shared views
+  /// collapse into a single pass (DESIGN.md §9). Tests and the bench harness
+  /// read this to verify the batching/sharing actually happened. Engines
+  /// without a final-join stage report 0.
   virtual uint64_t final_join_passes() const { return 0; }
 
   /// Diagnostic counter companion to final_join_passes: window-finalize
@@ -93,10 +92,10 @@ class ContinuousEngine {
   virtual uint64_t shared_finalize_groups() const { return 0; }
 
   /// Diagnostic counter: candidate work items the routing layer handed to
-  /// evaluation (DESIGN.md §12): signature groups / trie-node paths, tracking
-  /// distinct query structure rather than tenant count. The fig_scale bench
-  /// divides this by updates applied to show sublinear routing. Engines
-  /// without a routing layer report 0.
+  /// evaluation (DESIGN.md §12): signature groups, or (group, covering path)
+  /// pairs on TRIC, tracking distinct query structure rather than tenant
+  /// count. The fig_scale bench divides this by updates applied to show
+  /// sublinear routing. Engines without a routing layer report 0.
   virtual uint64_t routed_candidates() const { return 0; }
 
   /// Diagnostic counter companion: streamed updates rejected by the O(words)
@@ -192,6 +191,10 @@ enum class EngineKind {
 
 /// Display name matching the paper's figures.
 const char* EngineKindName(EngineKind kind);
+
+/// Command-line engine name: EngineKindName in any letter case (`tric+`,
+/// `inv`, `graphdb`, `naive`, ...). False for an unknown name.
+bool ParseEngineKind(const std::string& name, EngineKind* out);
 
 /// Instantiates an engine.
 std::unique_ptr<ContinuousEngine> CreateEngine(EngineKind kind);

@@ -1,5 +1,7 @@
 #include "engine/engine.h"
 
+#include <strings.h>
+
 #include "baseline/inc_engine.h"
 #include "baseline/inv_engine.h"
 #include "common/logging.h"
@@ -21,6 +23,18 @@ const char* EngineKindName(EngineKind kind) {
     case EngineKind::kNaive: return "Naive";
   }
   return "?";
+}
+
+bool ParseEngineKind(const std::string& name, EngineKind* out) {
+  std::vector<EngineKind> kinds = PaperEngineKinds();
+  kinds.push_back(EngineKind::kNaive);
+  for (EngineKind kind : kinds) {
+    if (strcasecmp(name.c_str(), EngineKindName(kind)) == 0) {
+      *out = kind;
+      return true;
+    }
+  }
+  return false;
 }
 
 std::unique_ptr<ContinuousEngine> CreateEngine(EngineKind kind) {

@@ -139,118 +139,95 @@ void ViewEngineBase::CollectFootprint(const EdgeUpdate& u, Footprint& out) {
   }
 }
 
+UpdateResult ViewEngineBase::ApplyUpdate(const EdgeUpdate& u) {
+  if (u.op == UpdateOp::kDelete) return ApplyDelete(u);
+  UpdateResult result;
+  RunInsertWindow(&u, 1, &result);
+  return result;
+}
+
 std::vector<UpdateResult> ViewEngineBase::ApplyBatch(const EdgeUpdate* updates,
                                                      size_t n) {
-  std::vector<UpdateResult> results;
-  results.reserve(n);
+  std::vector<UpdateResult> results(n);
   size_t i = 0;
   while (i < n) {
     if (updates[i].op == UpdateOp::kDelete) {
       // Deletions retract shared state with global reach; they act as
       // barriers between insert windows.
-      results.push_back(ApplyUpdate(updates[i]));
+      results[i] = ApplyDelete(updates[i]);
       ++i;
-      if (results.back().timed_out) return results;
-      continue;
+    } else {
+      size_t j = i;
+      while (j < n && updates[j].op != UpdateOp::kDelete) ++j;
+      i += RunInsertWindow(updates + i, j - i, results.data() + i);
     }
-    size_t j = i;
-    while (j < n && updates[j].op != UpdateOp::kDelete) ++j;
-    if (!RunInsertWindow(updates, i, j, results)) return results;
-    i = j;
+    if (results[i - 1].timed_out) {
+      results.resize(i);
+      break;
+    }
   }
   return results;
 }
 
-bool ViewEngineBase::RunInsertWindow(const EdgeUpdate* updates, size_t lo,
-                                     size_t hi, std::vector<UpdateResult>& results) {
-  if (window_cache_enabled_) window_cache_ = std::make_unique<WindowJoinCache>();
-  const bool ok = RunInsertWindowImpl(updates, lo, hi, results);
+size_t ViewEngineBase::RunInsertWindow(const EdgeUpdate* updates, size_t count,
+                                       UpdateResult* out) {
+  if (window_cache_enabled_ && count > 1)
+    window_cache_ = std::make_unique<WindowJoinCache>();
+  const size_t produced = RunInsertWindowImpl(updates, count, out);
   if (window_cache_ != nullptr) {
     // The window's build tables are transient scratch, never engine state.
     NotePeakTransient(window_cache_->MemoryBytes());
     window_cache_.reset();
   }
-  return ok;
+  return produced;
 }
 
-UpdateResult ViewEngineBase::ProcessInsert(const EdgeUpdate& u) {
-  // A window of one: the same maintenance + finalize split as any window,
-  // so single inserts and batches share one code path.
-  EnsureFinalizeGroups();
-  UpdateResult result;
-  std::unique_ptr<WindowContext> ctx = NewWindowContext();
-  ctx->window_updates = &u;
-  ctx->position = 1;
-  ProcessInsertDelta(u, *ctx, result);
-  if (!BudgetExceeded()) FinalizeWindow(*ctx, &result);
-  result.SortByQuery();
-  if (BudgetExceededNow()) result.timed_out = true;
-  return result;
+void ViewEngineBase::OnQueryAdded(QueryId qid) {
+  MarkReachDirty();
+  pending_queries_.push_back(qid);
 }
 
-void ViewEngineBase::EnsureFinalizeGroups() {
-  if (!finalize_groups_dirty_) return;
-  finalize_groups_dirty_ = false;
-  finalize_groups_.clear();
+void ViewEngineBase::OnQueryRemoved(QueryId qid) {
+  MarkReachDirty();
+  auto pending = std::find(pending_queries_.begin(), pending_queries_.end(), qid);
+  if (pending != pending_queries_.end()) {
+    pending_queries_.erase(pending);
+    return;
+  }
+  // The signature is stable while the query is registered (its views and
+  // trie terminals outlive it), so re-encoding finds its group.
+  signature_scratch_.clear();
+  EncodeFinalizeSignature(qid, signature_scratch_);
+  auto it = group_ids_.find(signature_scratch_);
+  GS_CHECK(it != group_ids_.end());
+  const uint32_t gid = it->second;
+  std::vector<QueryId>& members = finalize_groups_[gid].members;
+  members.erase(std::lower_bound(members.begin(), members.end(), qid));
+  if (!members.empty()) return;
+  RemoveGroupRoutes(gid, qid);
+  group_ids_.erase(it);
+  free_group_ids_.push_back(gid);
+}
 
-  std::vector<QueryId> qids;
-  ListQueryIds(qids);
-  std::sort(qids.begin(), qids.end());
-  PrepareFinalizeSignatures(qids);
-
-  // Signature encoding is per-query independent and read-only (after the
-  // prepare hook), so a registration wave big enough to matter fans out
-  // across the batch scheduler; the grouping below stays sequential either
-  // way, so the group order is identical to a single-threaded build. Chunks
-  // are deliberately smaller than executors so idle executors keep stealing
-  // work off the coordinator's deque until the wave drains.
-  std::vector<std::vector<uint64_t>> keys(qids.size());
-  std::vector<uint8_t> shareable(qids.size(), 0);
-  constexpr size_t kParallelSignatureMin = 64;
-  if (sched_ != nullptr && qids.size() >= kParallelSignatureMin) {
-    const size_t num_tasks = static_cast<size_t>(sched_->size()) * 4;
-    const size_t chunk = (qids.size() + num_tasks - 1) / num_tasks;
-    for (size_t t = 0; t < num_tasks; ++t) {
-      const size_t lo = t * chunk;
-      const size_t hi = std::min(lo + chunk, qids.size());
-      if (lo >= hi) break;
-      sched_->Submit([this, &qids, &keys, &shareable, lo, hi] {
-        for (size_t i = lo; i < hi; ++i)
-          shareable[i] = EncodeFinalizeSignature(qids[i], keys[i]) ? 1 : 0;
-      });
+void ViewEngineBase::JoinPendingGroups() {
+  for (QueryId qid : pending_queries_) {
+    signature_scratch_.clear();
+    EncodeFinalizeSignature(qid, signature_scratch_);
+    auto [it, created] = group_ids_.try_emplace(signature_scratch_, 0);
+    if (created) {
+      if (free_group_ids_.empty()) {
+        it->second = static_cast<uint32_t>(finalize_groups_.size());
+        finalize_groups_.emplace_back();
+      } else {
+        it->second = free_group_ids_.back();
+        free_group_ids_.pop_back();
+      }
     }
-    sched_->Wait();
-  } else {
-    for (size_t i = 0; i < qids.size(); ++i)
-      shareable[i] = EncodeFinalizeSignature(qids[i], keys[i]) ? 1 : 0;
+    std::vector<QueryId>& members = finalize_groups_[it->second].members;
+    members.insert(std::upper_bound(members.begin(), members.end(), qid), qid);
+    if (created) AddGroupRoutes(it->second, qid);
   }
-
-  // Full-key grouping (no hashing shortcut): a spurious collision would fan
-  // one query's results out to an unrelated query, so keys compare by value.
-  // Rebuilds are query-lifecycle-rate, not update-rate — an ordered map over
-  // the encoded keys is plenty.
-  std::map<std::vector<uint64_t>, std::vector<QueryId>> by_key;
-  std::vector<QueryId> privates;  ///< Signatures that opted out of sharing.
-  for (size_t i = 0; i < qids.size(); ++i) {
-    if (shareable[i])
-      by_key[std::move(keys[i])].push_back(qids[i]);  // members stay ascending
-    else
-      privates.push_back(qids[i]);
-  }
-
-  const auto add_group = [&](std::vector<QueryId>&& members, bool shareable) {
-    auto group = std::make_unique<FinalizeGroup>();
-    group->id = static_cast<uint32_t>(finalize_groups_.size());
-    group->shareable = shareable;
-    group->members = std::move(members);
-    finalize_groups_.push_back(std::move(group));
-  };
-
-  // Every query needs a group: groups are the routing targets.
-  for (auto& [k, members] : by_key) add_group(std::move(members), /*shareable=*/true);
-  for (QueryId qid : privates) add_group(std::vector<QueryId>{qid}, /*shareable=*/false);
-
-  OnRouteGroupsRebuilt();
+  pending_queries_.clear();
 }
 
 void ViewEngineBase::AppendFilterSignature(const QueryPattern& q,
@@ -276,71 +253,55 @@ void ViewEngineBase::ScatterTagCounts(std::vector<uint32_t>& tags, QueryId qid,
   }
 }
 
-bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
-                                           size_t hi,
-                                           std::vector<UpdateResult>& results) {
-  const size_t count = hi - lo;
-
+size_t ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t count,
+                                           UpdateResult* out) {
   // Duplicate pre-pass, in stream order: the seen-edge set is global, so the
   // coordinator resolves it before any sharding. A duplicate's result is the
   // empty no-op result, exactly as in sequential execution.
-  std::vector<uint8_t> dup(count);
-  for (size_t k = 0; k < count; ++k)
-    dup[k] = IsDuplicateUpdate(updates[lo + k]) ? 1 : 0;
-
-  // A window of one is a single insert: ProcessInsert. For INV/INC that is
-  // this pipeline with one position; TRIC/TRIC+ substitute their per-update
-  // path, because their windows of one measured +57% snb-churn notify p50,
-  // +42% taxi-window notify p50 and -8% snb-qdb2500 records/s through the
-  // window path (DESIGN.md §7.6).
-  if (count == 1) {
-    results.push_back(dup[0] ? UpdateResult{} : ProcessInsert(updates[lo]));
-    return !results.back().timed_out;
-  }
+  std::vector<uint8_t>& dup = dup_scratch_;
+  dup.resize(count);
+  for (size_t k = 0; k < count; ++k) dup[k] = IsDuplicateUpdate(updates[k]) ? 1 : 0;
 
   // Shared finalization groups are read (immutably) by FinalizeWindow, which
-  // may run on shard threads — rebuild on the coordinator, like the reaches.
-  EnsureFinalizeGroups();
-
-  // On a mid-window timeout the pre-pass marked edges we never applied;
-  // un-mark the suffix so it leaves no trace (ApplyBatch contract).
-  const auto unwind_suffix = [&](size_t first_unapplied) {
-    for (size_t j = first_unapplied; j < count; ++j)
-      if (!dup[j]) seen_edges_.erase(updates[lo + j]);
-  };
+  // may run on shard threads — join the pending queries on the coordinator.
+  JoinPendingGroups();
 
   // The finalize emits counts per signature group, interleaving query ids
-  // across groups; restore each slot's ascending-qid invariant.
-  const auto normalize_order = [](std::vector<UpdateResult>& window) {
-    for (UpdateResult& r : window) r.SortByQuery();
+  // across groups; restore each slot's ascending-qid invariant, then check
+  // the budget at the window boundary.
+  const auto finish = [&]() {
+    for (size_t k = 0; k < count; ++k) out[k].SortByQuery();
+    if (BudgetExceededNow()) out[count - 1].timed_out = true;
+    return count;
   };
 
   // Single-threaded path: maintain views per update in stream order, then
-  // run every deferred final join once at the window boundary. On a budget
-  // trip results are partial, as everywhere under timeout.
-  const auto run_sequential = [&]() {
-    std::vector<UpdateResult> window(count);
-    std::unique_ptr<WindowContext> ctx = NewWindowContext();
-    ctx->window_updates = updates + lo;
+  // run every deferred final join once at the window boundary, in the
+  // reused coordinator context. On a budget trip results are partial, as
+  // everywhere under timeout.
+  const auto run_sequential = [&]() -> size_t {
+    if (sequential_ctx_ == nullptr)
+      sequential_ctx_ = NewWindowContext();
+    else
+      sequential_ctx_->Reset();
+    WindowContext& ctx = *sequential_ctx_;
+    ctx.window_updates = updates;
+    ctx.window_size = static_cast<uint32_t>(count);
     for (size_t k = 0; k < count; ++k) {
       if (dup[k]) continue;
-      ctx->position = static_cast<uint32_t>(k) + 1;
-      ProcessInsertDelta(updates[lo + k], *ctx, window[k]);
+      ctx.position = static_cast<uint32_t>(k) + 1;
+      ProcessInsertDelta(updates[k], ctx, out[k]);
       if (BudgetExceeded()) {
-        unwind_suffix(k + 1);
-        for (size_t j = 0; j <= k; ++j) results.push_back(std::move(window[j]));
-        results.back().timed_out = true;
-        return false;
+        // The pre-pass marked edges we never applied; un-mark the suffix so
+        // it leaves no trace (ApplyBatch contract).
+        for (size_t j = k + 1; j < count; ++j)
+          if (!dup[j]) seen_edges_.erase(updates[j]);
+        out[k].timed_out = true;
+        return k + 1;
       }
     }
-    FinalizeWindow(*ctx, window.data());
-    normalize_order(window);
-    for (size_t k = 0; k < count; ++k) results.push_back(std::move(window[k]));
-    if (budget_ != nullptr && budget_->ExceededNow()) {
-      results.back().timed_out = true;
-      return false;
-    }
-    return true;
+    FinalizeWindow(ctx, out);
+    return finish();
   };
 
   if (sched_ == nullptr) return run_sequential();
@@ -362,7 +323,7 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
       profile.push_back(kProfileDuplicate);
       continue;
     }
-    for (const auto& g : Generalizations(updates[lo + k])) {
+    for (const auto& g : Generalizations(updates[k])) {
       if (pattern_reach_.find(g) == pattern_reach_.end()) continue;
       profile.push_back(PatternId(g));
     }
@@ -383,7 +344,7 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
     FlatMap<uint64_t, uint32_t, ElemHash> owner;
     for (size_t k = 0; k < count; ++k) {
       if (dup[k]) continue;
-      CollectFootprint(updates[lo + k], fps[k]);
+      CollectFootprint(updates[k], fps[k]);
       for (uint64_t e : fps[k]) {
         uint32_t& first = owner.GetOrCreate(e);
         if (first == 0) {
@@ -468,16 +429,17 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
   const uint64_t steals_before = sched_->steals();
   std::vector<std::vector<UpdateResult>> arenas(tasks.size());
   for (size_t t = 0; t < tasks.size(); ++t) {
-    sched_->Submit([this, updates, lo, count, t, &tasks, &shards, &arenas] {
+    sched_->Submit([this, updates, count, t, &tasks, &shards, &arenas] {
       std::vector<UpdateResult>& arena = arenas[t];
       arena.resize(count);
       const TaskSpan span = tasks[t];
       for (uint32_t s = span.first; s < span.limit; ++s) {
         std::unique_ptr<WindowContext> ctx = NewWindowContext();
-        ctx->window_updates = updates + lo;
+        ctx->window_updates = updates;
+        ctx->window_size = static_cast<uint32_t>(count);
         for (uint32_t k : shards[s]) {
           ctx->position = k + 1;
-          ProcessInsertDelta(updates[lo + k], *ctx, arena[k]);
+          ProcessInsertDelta(updates[k], *ctx, arena[k]);
         }
         FinalizeWindow(*ctx, arena.data());
       }
@@ -491,20 +453,13 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
 
   // Deterministic positional merge, in task-submission order. Positions are
   // task-disjoint, so the merged window is byte-identical to sequential
-  // execution no matter which executor ran which task.
-  std::vector<UpdateResult> window(count);  // dup slots stay the no-op result
+  // execution no matter which executor ran which task (duplicate slots keep
+  // the no-op result).
   for (size_t t = 0; t < tasks.size(); ++t) {
     for (uint32_t s = tasks[t].first; s < tasks[t].limit; ++s)
-      for (uint32_t k : shards[s]) window[k] = std::move(arenas[t][k]);
+      for (uint32_t k : shards[s]) out[k] = std::move(arenas[t][k]);
   }
-
-  normalize_order(window);
-  for (size_t k = 0; k < count; ++k) results.push_back(std::move(window[k]));
-  if (budget_ != nullptr && budget_->ExceededNow()) {
-    results.back().timed_out = true;
-    return false;
-  }
-  return true;
+  return finish();
 }
 
 uint64_t ViewEngineBase::StateFingerprint() const {
@@ -549,6 +504,11 @@ size_t ViewEngineBase::SharedMemoryBytes() const {
   bytes += pattern_ids_.MemoryBytes();
   for (const auto& [p, fp] : pattern_reach_)
     bytes += sizeof(p) + fp.capacity() * sizeof(uint64_t) + 2 * sizeof(void*);
+  for (const auto& [key, gid] : group_ids_)
+    bytes += sizeof(key) + key.capacity() * sizeof(uint64_t) + sizeof(gid) +
+             4 * sizeof(void*);
+  for (const FinalizeGroup& g : finalize_groups_)
+    bytes += sizeof(g) + g.members.capacity() * sizeof(QueryId);
   return bytes;
 }
 

@@ -56,9 +56,9 @@ namespace gstream {
 ///    window's accumulated, provenance-tagged deltas). Emitted matches carry
 ///    the window position they would have been produced at by sequential
 ///    execution, so grouping them by tag reconstructs byte-identical
-///    per-update results. A single insert is a window of one
-///    (`ProcessInsert`); only TRIC/TRIC+ override that with a per-update
-///    path (DESIGN.md §7.6 gives the measurements).
+///    per-update results. A single insert (`ApplyUpdate`, or a batch window
+///    holding one insert) is a window of one: the same pipeline, where every
+///    new row belongs to position 1 (TRIC's finalize skips the tags).
 ///  * shared window finalization and routing (DESIGN.md §9, §12): live
 ///    queries are grouped by their covering-path join signature — the
 ///    ordered shared-view ids plus the join/filter spec of the final join
@@ -67,13 +67,16 @@ namespace gstream {
 ///    evaluates one member per group per window and fans the per-position
 ///    counts out to every member — collapsing N per-query passes into one
 ///    per distinct signature. The groups double as the routing targets. The
-///    grouping is rebuilt lazily after AddQuery/RemoveQuery (MarkReachDirty
-///    doubles as the invalidation hook) and computed on the coordinator
-///    before shards fan out; signature-equal queries always share a shard
-///    (their footprints overlap on the very views the signature names), so a
-///    group's finalize sees every member's window positions.
+///    grouping is incremental: RemoveQuery leaves its group at once, and
+///    AddQuery's signature is encoded and joined at the start of the next
+///    insert window, on the coordinator before shards fan out. Signature-
+///    equal queries always share a shard (their footprints overlap on the
+///    very views the signature names), so a group's finalize sees every
+///    member's window positions.
 class ViewEngineBase : public ContinuousEngine {
  public:
+  /// Deletes go to ApplyDelete; an insert runs as a window of one.
+  UpdateResult ApplyUpdate(const EdgeUpdate& u) override;
   std::vector<UpdateResult> ApplyBatch(const EdgeUpdate* updates, size_t n) override;
 
   void SetBatchThreads(int threads) override {
@@ -118,28 +121,35 @@ class ViewEngineBase : public ContinuousEngine {
   uint64_t StateFingerprint() const override;
 
  protected:
-  /// One signature group: the live queries (ascending) whose finalize
-  /// signatures are equal. Every live query belongs to exactly one group —
-  /// groups double as the routing targets (DESIGN.md §12), and queries whose
-  /// signature opted out of sharing get private singleton groups
-  /// (`shareable == false`).
+  /// One signature group: the live queries whose finalize signatures are
+  /// equal. Every grouped query belongs to exactly one group; groups double
+  /// as the routing targets (DESIGN.md §12). A group's id is its index in
+  /// finalize_groups(), recycled once the group empties.
   struct FinalizeGroup {
-    uint32_t id = 0;  ///< Dense index into finalize_groups() (routing target).
-    bool shareable = true;  ///< False: signature opted out of fan-out sharing.
-    std::vector<QueryId> members;
+    std::vector<QueryId> members;  ///< Ascending; empty = a free id.
   };
 
-  /// Per-shard context of one delta window: the provenance checkpoints of
-  /// every relation the shard's updates touch, plus the engine's deferred-
-  /// finalize state (subclasses extend it). One instance per shard, so no
-  /// synchronization — shards are footprint-disjoint.
+  /// Context of one delta window (or of one shard of it): the provenance
+  /// checkpoints of every relation its updates touch, plus the engine's
+  /// deferred-finalize state (subclasses extend it). Shard tasks own one
+  /// instance each, so no synchronization — shards are footprint-disjoint.
+  /// Sequential windows, windows of one included, reuse one coordinator-
+  /// owned instance (see Reset).
   struct WindowContext {
     virtual ~WindowContext() = default;
+    /// Readies a reused context for the next window, keeping the scratch
+    /// capacity. Subclasses extend it to clear their own state.
+    virtual void Reset() {
+      position = 0;
+      prov.Clear();
+    }
     uint32_t position = 0;  ///< 1-based window position of the insert in flight.
     /// The window's updates; slot p - 1 is window position p (set by the
     /// coordinator before the first ProcessInsertDelta).
     const EdgeUpdate* window_updates = nullptr;
+    uint32_t window_size = 0;  ///< Number of window positions.
     WindowProvenance prov;
+    std::vector<uint32_t> tags;  ///< Finalize scratch: one pass's match positions.
   };
 
   virtual std::unique_ptr<WindowContext> NewWindowContext() = 0;
@@ -164,54 +174,46 @@ class ViewEngineBase : public ContinuousEngine {
     final_join_passes_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  /// Retracts one delete (ApplyUpdate's delete path and ApplyBatch's
+  /// window barriers): the engine's paper §4.3 deletion handling.
+  virtual UpdateResult ApplyDelete(const EdgeUpdate& u) = 0;
+
   // ----- shared-finalize planner (DESIGN.md §9) -----
 
   /// Engine hook: append a canonical encoding of `qid`'s window-finalize
   /// computation — the ordered ids of the shared views its final join reads
   /// plus the join/filter spec (binding schemas, property constraints).
   /// Two queries with equal encodings MUST produce identical FinalizeWindow
-  /// outcomes for any window. Return false to opt the query out of sharing.
-  /// Must be read-only (EnsureFinalizeGroups fans the encode loop out across
-  /// the batch pool when a wave of queries registers at once); mutating
-  /// preparation belongs in PrepareFinalizeSignatures.
-  virtual bool EncodeFinalizeSignature(QueryId qid, std::vector<uint64_t>& out) {
-    (void)qid;
-    (void)out;
-    return false;
-  }
+  /// outcomes for any window, and a query's encoding must not change while
+  /// it is registered (it is re-encoded to find its group on removal).
+  /// Coordinator-thread only.
+  virtual void EncodeFinalizeSignature(QueryId qid, std::vector<uint64_t>& out) = 0;
 
-  /// Engine hook fired once on the coordinator thread before the (possibly
-  /// parallel) EncodeFinalizeSignature loop: intern anything the encodes
-  /// would otherwise create lazily (INV pre-interns pattern ids here), so
-  /// the encodes themselves are pure reads. Default: nothing.
-  virtual void PrepareFinalizeSignatures(const std::vector<QueryId>& qids) {
-    (void)qids;
-  }
+  /// Engine hooks: start routing inserts to group `gid` (fired when its
+  /// first member creates it) and stop (fired when its last member leaves,
+  /// from RemoveQueryImpl while the engine still knows `member`).
+  /// Signature-equal members route identically, so `member` speaks for the
+  /// whole group. Coordinator-thread only.
+  virtual void AddGroupRoutes(uint32_t gid, QueryId member) = 0;
+  virtual void RemoveGroupRoutes(uint32_t gid, QueryId member) = 0;
 
   /// Appends the registered query ids (any order).
   virtual void ListQueryIds(std::vector<QueryId>& out) const = 0;
 
-  /// Rebuilds the signature grouping when dirty (after AddQuery/RemoveQuery).
-  /// Coordinator-thread only — runs before a delta window fans out so shard
-  /// threads read the groups immutably. Fires OnRouteGroupsRebuilt after a
-  /// rebuild.
-  void EnsureFinalizeGroups();
+  /// Query-lifecycle hooks; call first thing in AddQueryImpl /
+  /// RemoveQueryImpl (the removed query must still be registered). Both
+  /// invalidate the footprint reaches and the window partitions. An added
+  /// query waits on a pending list: its signature is encoded and joined at
+  /// the next insert window, so registration does no grouping work. A
+  /// removed query leaves its group at once; an emptied group drops its
+  /// routes and frees its id.
+  void OnQueryAdded(QueryId qid);
+  void OnQueryRemoved(QueryId qid);
 
-  /// Hook fired after EnsureFinalizeGroups rebuilt the grouping: engines
-  /// rebuild their group-granular routing postings here (they are exactly as
-  /// stale as the groups). Coordinator-thread only. Default: nothing.
-  virtual void OnRouteGroupsRebuilt() {}
-
-  /// The signature groups, dense by FinalizeGroup::id (routing targets).
-  /// Valid after EnsureFinalizeGroups until the next query-set change.
-  const std::vector<std::unique_ptr<FinalizeGroup>>& finalize_groups() const {
+  /// The signature groups, dense by id (routing targets). Immutable while a
+  /// window is in flight.
+  const std::vector<FinalizeGroup>& finalize_groups() const {
     return finalize_groups_;
-  }
-
-  /// True when `g`'s finalize evaluation may be fanned out across members:
-  /// the signature did not opt out and there is someone to share with.
-  static bool GroupSharingApplies(const FinalizeGroup& g) {
-    return g.shareable && g.members.size() >= 2;
   }
 
   /// Counts one group-level finalize pass that served >= 2 members.
@@ -220,7 +222,7 @@ class ViewEngineBase : public ContinuousEngine {
   }
 
   /// Counts `n` candidate work items the routing layer handed to evaluation
-  /// (signature groups, or trie-node paths on TRIC's per-update insert).
+  /// (signature groups, or (group, covering path) pairs on TRIC).
   /// Thread-safe (shards report concurrently).
   void NoteRoutedCandidates(uint64_t n) {
     if (n != 0) routed_candidates_.fetch_add(n, std::memory_order_relaxed);
@@ -274,35 +276,12 @@ class ViewEngineBase : public ContinuousEngine {
   /// index entries — and contribute nothing).
   virtual void BuildPatternReach() = 0;
 
-  /// Invalidate (and release) the per-pattern reaches — call from
-  /// AddQueryImpl/RemoveQueryImpl; CollectFootprint rebuilds lazily. Doubles
-  /// as the shared-finalize invalidation hook: the signature grouping is
-  /// exactly as stale as the reaches (both are pure functions of the live
-  /// query set), so one dirty mark covers both.
-  void MarkReachDirty() {
-    reach_dirty_ = true;
-    pattern_reach_.clear();
-    finalize_groups_dirty_ = true;
-    // The cached window partitions are keyed on pattern ids whose reaches
-    // just changed (and whose ids may recycle) — exactly as stale as the
-    // reaches themselves.
-    partition_cache_.clear();
-  }
-
-  /// A single insert *after* the duplicate check: `ApplyUpdate`'s insert
-  /// path and every window of one. The default runs the window-delta
-  /// pipeline with one position (with the window's group routing and shared
-  /// finalize). TRIC/TRIC+ override it with a per-update path that skips the
-  /// signature grouping and the provenance tags (DESIGN.md §7.6).
-  /// Coordinator-thread only.
-  virtual UpdateResult ProcessInsert(const EdgeUpdate& u);
-
-  /// Opt-in (engine constructor) for the base algorithms: inside a batch
-  /// window, `window_cache()` returns a transient WindowJoinCache that
-  /// amortizes repeated join builds across the window's updates (results
-  /// are unchanged — an indexed equi-join emits exactly the scan join's
-  /// rows). Outside batch windows it stays null, preserving the sequential
-  /// base-engine cost model.
+  /// Opt-in (engine constructor) for the base algorithms: inside a window
+  /// of two or more inserts, `window_cache()` returns a transient
+  /// WindowJoinCache that amortizes repeated join builds across the
+  /// window's updates (results are unchanged — an indexed equi-join emits
+  /// exactly the scan join's rows). In a window of one it stays null,
+  /// preserving the sequential base-engine cost model.
   void EnableWindowCache() { window_cache_enabled_ = true; }
   WindowJoinCache* window_cache() const { return window_cache_.get(); }
 
@@ -312,14 +291,6 @@ class ViewEngineBase : public ContinuousEngine {
     uint32_t& id = pattern_ids_.GetOrCreate(p);
     if (id == 0) id = ++next_pattern_id_;
     return id;
-  }
-
-  /// Read-only PatternId lookup (0 = never interned). Safe from pool
-  /// threads; pair with a PrepareFinalizeSignatures pre-intern so the id is
-  /// always present when it matters.
-  uint32_t PatternIdIfKnown(const GenericEdgePattern& p) const {
-    const uint32_t* id = pattern_ids_.Find(p);
-    return id == nullptr ? 0 : *id;
   }
 
   /// The base view for `p`, created empty on first use (at query indexing).
@@ -388,14 +359,32 @@ class ViewEngineBase : public ContinuousEngine {
       pattern_reach_;
 
  private:
-  /// Executes inserts `updates[lo..hi)` (one delete-free run), appending one
-  /// result per update to `results`. Returns false when the budget tripped
-  /// (the window's unprocessed suffix was dropped). The outer function owns
-  /// the window-cache lifecycle around the inner executor.
-  bool RunInsertWindow(const EdgeUpdate* updates, size_t lo, size_t hi,
-                       std::vector<UpdateResult>& results);
-  bool RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo, size_t hi,
-                             std::vector<UpdateResult>& results);
+  /// Executes the delete-free run `updates[0..count)`, writing one result
+  /// per update to the default-constructed slots `out[0..count)`. Returns
+  /// how many results it produced: fewer than `count` only when the budget
+  /// tripped mid-window (the unprocessed suffix was dropped, and the last
+  /// produced result is flagged timed_out). The outer function owns the
+  /// window-cache lifecycle around the inner executor.
+  size_t RunInsertWindow(const EdgeUpdate* updates, size_t count, UpdateResult* out);
+  size_t RunInsertWindowImpl(const EdgeUpdate* updates, size_t count,
+                             UpdateResult* out);
+
+  /// Encodes the pending queries' signatures and joins them to their groups
+  /// (creating and routing new ones). Coordinator-thread only; runs at the
+  /// start of every insert window, so shard threads read the groups
+  /// immutably.
+  void JoinPendingGroups();
+
+  /// Invalidates (and releases) the per-pattern reaches and the window
+  /// partitions keyed on them; CollectFootprint rebuilds lazily.
+  void MarkReachDirty() {
+    reach_dirty_ = true;
+    pattern_reach_.clear();
+    // The cached window partitions are keyed on pattern ids whose reaches
+    // just changed (and whose ids may recycle) — exactly as stale as the
+    // reaches themselves.
+    partition_cache_.clear();
+  }
 
   /// One memoized window partition: the footprint shards' member lists
   /// (window slot indices, ascending within and across shards). Keyed by the
@@ -422,11 +411,20 @@ class ViewEngineBase : public ContinuousEngine {
   std::atomic<uint64_t> batch_steals_{0};
   std::atomic<uint64_t> footprint_cache_hits_{0};
 
-  /// Signature-group planner state (shared finalization + routing targets).
-  /// Rebuilt by EnsureFinalizeGroups on the coordinator; immutable while a
-  /// window is in flight.
-  bool finalize_groups_dirty_ = true;
-  std::vector<std::unique_ptr<FinalizeGroup>> finalize_groups_;
+  /// Signature-group planner state (shared finalization + routing targets),
+  /// maintained on the coordinator; immutable while a window is in flight.
+  /// Keys compare in full (no hashing shortcut): a spurious collision would
+  /// fan one query's results out to an unrelated query.
+  std::vector<FinalizeGroup> finalize_groups_;
+  std::vector<uint32_t> free_group_ids_;
+  std::map<std::vector<uint64_t>, uint32_t> group_ids_;  ///< Signature -> group id.
+  std::vector<QueryId> pending_queries_;  ///< Registered, not yet grouped.
+  std::vector<uint64_t> signature_scratch_;
+
+  /// Coordinator-owned scratch of sequential windows (windows of one
+  /// included): the reused context and the duplicate mask.
+  std::unique_ptr<WindowContext> sequential_ctx_;
+  std::vector<uint8_t> dup_scratch_;
 };
 
 }  // namespace gstream

@@ -101,13 +101,15 @@ class BoundedBatchRing {
 
   /// Timed Pop for consumers with periodic duties (the socket server's apply
   /// thread interleaves control ops and window-flush deadlines with popping):
-  /// kGot with a batch, kTimeout when the wait expired with producers still
-  /// active, kDone when drained-and-finished or aborted.
+  /// kGot with a batch, kTimeout when the wait expired or was cut short by
+  /// Wake with producers still active, kDone when drained-and-finished or
+  /// aborted.
   PopStatus PopFor(RecordBatch& out, int timeout_millis) {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait_for(lock, std::chrono::milliseconds(timeout_millis), [&] {
-      return !queue_.empty() || producers_active_ == 0 || aborted_;
+      return !queue_.empty() || producers_active_ == 0 || aborted_ || woken_;
     });
+    woken_ = false;
     if (aborted_) return PopStatus::kDone;
     if (!queue_.empty()) {
       out = std::move(queue_.front());
@@ -139,6 +141,15 @@ class BoundedBatchRing {
     if (--producers_active_ == 0) not_empty_.notify_all();
   }
 
+  /// Ends the consumer's current (or, if none is blocked, next) PopFor wait
+  /// early, so work posted beside the ring — the server's control ops — is
+  /// picked up now instead of at the end of the timeout.
+  void Wake() {
+    std::lock_guard<std::mutex> lock(mu_);
+    woken_ = true;
+    not_empty_.notify_all();
+  }
+
   /// Fail-fast / error path: wakes everyone; further pushes and pops fail.
   void Abort() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -166,6 +177,7 @@ class BoundedBatchRing {
   std::unordered_map<uint64_t, size_t> shed_;  ///< seq -> shed record count.
   size_t producers_active_ = 0;
   bool aborted_ = false;
+  bool woken_ = false;  ///< A Wake not yet consumed by PopFor.
   Stats stats_;
 };
 

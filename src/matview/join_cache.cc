@@ -84,6 +84,8 @@ void WindowProvenance::Checkpoint(const Relation* rel, uint32_t position) {
       log.back().position = position;
       return;
     }
+  } else {
+    touched_.push_back(rel);
   }
   log.push_back(WindowCheckpoint{rows, position});
 }
@@ -93,7 +95,17 @@ void WindowProvenance::Checkpoint(const Relation* rel, uint32_t position,
   std::vector<WindowCheckpoint>& log = logs_.GetOrCreate(rel);
   if (!log.empty() && log.back().position == position) return;
   GS_DCHECK(log.empty() || log.back().row_begin <= row_begin);
+  if (log.empty()) touched_.push_back(rel);
   log.push_back(WindowCheckpoint{row_begin, position});
+}
+
+void WindowProvenance::Clear() {
+  if (logs_.size() > kMaxKeptLogs) {
+    logs_.Clear();
+  } else {
+    for (const Relation* rel : touched_) logs_.Find(rel)->clear();
+  }
+  touched_.clear();
 }
 
 RowTags WindowProvenance::TagsFor(const Relation* rel) const {
@@ -109,7 +121,8 @@ size_t WindowProvenance::WindowDeltaBegin(const Relation* rel) const {
 }
 
 size_t WindowProvenance::MemoryBytes() const {
-  size_t bytes = sizeof(*this) + logs_.MemoryBytes();
+  size_t bytes = sizeof(*this) + logs_.MemoryBytes() +
+                 touched_.capacity() * sizeof(const Relation*);
   logs_.ForEach([&](const Relation*, const std::vector<WindowCheckpoint>& log) {
     bytes += log.capacity() * sizeof(WindowCheckpoint);
   });

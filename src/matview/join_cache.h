@@ -147,7 +147,8 @@ class WindowJoinCache : public JoinIndexSource {
 /// to shared state).
 ///
 /// One instance per shard per window (shards touch footprint-disjoint
-/// relations), so no locking. Dropped at the window boundary.
+/// relations), so no locking. Dropped at the window boundary, or Cleared
+/// for the next window by a reused context.
 class WindowProvenance {
  public:
   /// Records that subsequent appends to `rel` belong to window `position`
@@ -170,6 +171,11 @@ class WindowProvenance {
   /// when untouched.
   size_t WindowDeltaBegin(const Relation* rel) const;
 
+  /// Forgets every checkpoint (a reused context starting its next window).
+  /// Keeps the table and the touched logs' capacity, so a steady stream of
+  /// small windows allocates nothing here.
+  void Clear();
+
   size_t MemoryBytes() const;
 
  private:
@@ -178,7 +184,12 @@ class WindowProvenance {
       return Mix64(reinterpret_cast<uintptr_t>(r));
     }
   };
+  /// An empty log reads exactly like an absent one, so Clear empties the
+  /// logs in place; keys of relations destroyed since stay harmless for the
+  /// same reason, and the table is dropped once it outgrows kMaxKeptLogs.
+  static constexpr size_t kMaxKeptLogs = 256;
   FlatMap<const Relation*, std::vector<WindowCheckpoint>, PtrHash> logs_;
+  std::vector<const Relation*> touched_;  ///< Relations with a non-empty log.
 };
 
 }  // namespace gstream

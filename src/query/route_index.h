@@ -138,16 +138,10 @@ class RouteIndex {
   bool Empty() const { return postings_.size() == 0; }
 
   /// Releases tombstoned slots after a churn wave (deferred: call once per
-  /// removal wave / group rebuild, not per Remove).
+  /// query removal, not per Remove).
   void Compact() {
     postings_.Compact();
     prefilter_.Compact();
-  }
-
-  void Clear() {
-    postings_ = FlatMap<GenericEdgePattern, std::vector<Target>,
-                        GenericEdgePatternHash>();
-    prefilter_ = RoutePrefilter();
   }
 
   size_t MemoryBytes() const {

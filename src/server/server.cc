@@ -876,8 +876,12 @@ void Server::HardClose(Conn& c) {
 // --------------------------------------------------------------- apply side
 
 void Server::PostOp(ControlOp&& op) {
-  std::lock_guard<std::mutex> lock(ops_mu_);
-  ops_.push_back(std::move(op));
+  {
+    std::lock_guard<std::mutex> lock(ops_mu_);
+    ops_.push_back(std::move(op));
+  }
+  // The apply thread may be parked in PopFor for up to a control-op tick.
+  ring_->Wake();
 }
 
 void Server::ProcessControlOps() {

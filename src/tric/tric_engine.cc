@@ -25,7 +25,7 @@ std::string TricEngine::name() const {
 }
 
 void TricEngine::AddQueryImpl(QueryId qid, const QueryPattern& q) {
-  MarkReachDirty();
+  OnQueryAdded(qid);
 
   QueryEntry entry;
   entry.pattern = q;
@@ -67,7 +67,7 @@ void TricEngine::AddQueryImpl(QueryId qid, const QueryPattern& q) {
 }
 
 void TricEngine::RemoveQueryImpl(QueryId qid) {
-  MarkReachDirty();
+  OnQueryRemoved(qid);
   QueryEntry entry = std::move(queries_.at(qid));
   queries_.erase(qid);
 
@@ -122,33 +122,19 @@ void TricEngine::InitNodeView(TrieNode* node) {
   }
 }
 
-void TricEngine::EnsureEpoch(TrieNode* node, const DeltaScratch& ds) {
-  if (node->epoch != ds.epoch) {
-    node->epoch = ds.epoch;
-    node->delta_begin = node->view->NumRows();
-  }
-}
-
-void TricEngine::NoteWindowGrowth(TrieNode* node, size_t rows_before,
-                                  const DeltaScratch& ds) {
-  // Delta windows track per-position boundaries of the grown views so
-  // FinalizeWindow can tag rows with the window position that created them.
+void TricEngine::NoteGrowth(TrieNode* node, size_t rows_before,
+                            TricWindowContext& wctx) {
   // Only terminal views are ever read by the final joins, and only actual
   // growth needs a checkpoint — empty touches stay off the books.
-  if (ds.wctx != nullptr && !node->paths.empty())
-    ds.wctx->prov.Checkpoint(node->view.get(), ds.wctx->position, rows_before);
-}
-
-void TricEngine::MarkAffected(TrieNode* node, DeltaScratch& ds) {
   if (node->paths.empty()) return;
-  if (node->affected_epoch == ds.epoch) return;
-  node->affected_epoch = ds.epoch;
-  ds.affected_terminals.push_back(node);
+  wctx.prov.Checkpoint(node->view.get(), wctx.position, rows_before);
+  if (node->affected_epoch == wctx.window_epoch) return;
+  node->affected_epoch = wctx.window_epoch;
+  wctx.affected_terminals.push_back(node);
 }
 
 void TricEngine::ProcessMatchingNode(TrieNode* node, const EdgeUpdate& u,
-                                     DeltaScratch& ds) {
-  EnsureEpoch(node, ds);
+                                     TricWindowContext& wctx) {
   Relation* view = node->view.get();
   const size_t before = view->NumRows();
 
@@ -167,50 +153,26 @@ void TricEngine::ProcessMatchingNode(TrieNode* node, const EdgeUpdate& u,
 
   const size_t after = view->NumRows();
   if (after == before) return;
-  NoteWindowGrowth(node, before, ds);
-  MarkAffected(node, ds);
-  Cascade(node, before, after, ds);
+  NoteGrowth(node, before, wctx);
+  Cascade(node, before, after, wctx);
 }
 
-void TricEngine::Cascade(TrieNode* node, size_t lo, size_t hi, DeltaScratch& ds) {
+void TricEngine::Cascade(TrieNode* node, size_t lo, size_t hi,
+                         TricWindowContext& wctx) {
   for (const auto& child_ptr : node->children) {
     if (BudgetExceeded()) return;
     TrieNode* child = child_ptr.get();
     Relation* base = FindBaseView(child->pattern);
     GS_DCHECK(base != nullptr);
     if (base->Empty()) continue;  // prune: sub-trie cannot produce results
-    EnsureEpoch(child, ds);
     const size_t before = child->view->NumRows();
     ExtendRight(RowRange{node->view.get(), lo, hi}, *base, JoinIndexFor(base, 0),
                 *child->view);
     const size_t after = child->view->NumRows();
     if (after == before) continue;  // prune: empty delta stops this branch
-    NoteWindowGrowth(child, before, ds);
-    MarkAffected(child, ds);
-    Cascade(child, before, after, ds);
+    NoteGrowth(child, before, wctx);
+    Cascade(child, before, after, wctx);
   }
-}
-
-RowRange TricEngine::FullPathRange(PathInfo& info) {
-  Relation* view = info.terminal->view.get();
-  if (!info.spec.has_repeats()) return AllRows(*view);
-  // Cyclic path: maintain the filtered projection incrementally.
-  std::vector<VertexId> row(info.spec.schema.size());
-  for (size_t i = info.filtered_upto; i < view->NumRows(); ++i) {
-    const VertexId* r = view->Row(i);
-    bool ok = true;
-    for (const auto& [pa, pb] : info.spec.eq_checks) {
-      if (r[pa] != r[pb]) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    for (size_t c = 0; c < info.spec.src_pos.size(); ++c) row[c] = r[info.spec.src_pos[c]];
-    info.filtered->Append(row.data());
-  }
-  info.filtered_upto = view->NumRows();
-  return AllRows(*info.filtered);
 }
 
 const std::vector<uint32_t>& TricEngine::PathSchema(const PathInfo& info) const {
@@ -219,70 +181,8 @@ const std::vector<uint32_t>& TricEngine::PathSchema(const PathInfo& info) const 
   return info.spec.has_repeats() ? info.spec.schema : info.pos_to_vertex;
 }
 
-UpdateResult TricEngine::ApplyUpdate(const EdgeUpdate& u) {
-  UpdateResult result;
-  if (u.op == UpdateOp::kDelete) {
-    result.changed = RemoveFromBaseViews(u);
-    if (result.changed) HandleDelete(u);
-    return result;
-  }
-  if (IsDuplicateUpdate(u)) return result;
-  return ProcessInsert(u);
-}
-
-bool TricEngine::RouteUpdate(const EdgeUpdate& u, DeltaScratch& ds,
-                             UpdateResult& result) {
-  // Routing prefilter (DESIGN.md §12): no trie node's pattern carries this
-  // label. Base-view patterns are a subset of the node patterns (every
-  // signature element becomes a node), so there is nothing to maintain at
-  // all — the whole update is an O(words) reject.
-  if (!forest_.MayMatch(u)) {
-    NotePrefilterReject();
-    return true;
-  }
-
-  // Record the update in every shared edge-level view it satisfies, then
-  // route it to the matching trie nodes via the node-granular edgeInd.
-  AppendToBaseViews(u);
-
-  // Class-mask-gated probing: only the endpoint generalizations some
-  // registered pattern actually uses are looked up (deduplicated).
-  std::vector<TrieNode*> matching;
-  forest_.RouteNodes(u, matching);
-  std::sort(matching.begin(), matching.end(), [](const TrieNode* a, const TrieNode* b) {
-    return a->depth != b->depth ? a->depth < b->depth : a->seq < b->seq;
-  });
-
-  for (TrieNode* node : matching) {
-    if (BudgetExceeded()) {
-      result.timed_out = true;
-      return false;
-    }
-    ProcessMatchingNode(node, u, ds);
-  }
-  return true;
-}
-
-UpdateResult TricEngine::ProcessInsert(const EdgeUpdate& u) {
-  UpdateResult result;
-  result.changed = true;
-
-  DeltaScratch ds;
-  ds.epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-
-  if (!RouteUpdate(u, ds, result)) return result;
-
-  FinalizeQueries(result, ds);
-  if (budget_ != nullptr && budget_->ExceededNow()) result.timed_out = true;
-  return result;
-}
-
 std::unique_ptr<ViewEngineBase::WindowContext> TricEngine::NewWindowContext() {
-  auto ctx = std::make_unique<TricWindowContext>();
-  // A fresh epoch value window-scopes TrieNode::window_affected_epoch marks
-  // (per-update epochs drawn later in the window are strictly larger).
-  ctx->window_epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  return ctx;
+  return std::make_unique<TricWindowContext>(epoch_);
 }
 
 void TricEngine::ProcessInsertDelta(const EdgeUpdate& u, WindowContext& ctx,
@@ -290,128 +190,35 @@ void TricEngine::ProcessInsertDelta(const EdgeUpdate& u, WindowContext& ctx,
   TricWindowContext& wctx = static_cast<TricWindowContext&>(ctx);
   result.changed = true;
 
-  DeltaScratch ds;
-  ds.epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  ds.wctx = &wctx;
+  // Routing prefilter (DESIGN.md §12): no trie node's pattern carries this
+  // label. Base-view patterns are a subset of the node patterns (every
+  // signature element becomes a node), so there is nothing to maintain at
+  // all — the whole update is an O(words) reject.
+  if (!forest_.MayMatch(u)) {
+    NotePrefilterReject();
+    return;
+  }
 
-  RouteUpdate(u, ds, result);
-
-  // Fold this update's affected terminals into the window's union; the
-  // final joins run once per (query, window) in FinalizeWindow.
-  for (TrieNode* node : ds.affected_terminals) {
-    if (node->window_affected_epoch == wctx.window_epoch) continue;
-    node->window_affected_epoch = wctx.window_epoch;
-    wctx.affected_terminals.push_back(node);
+  // Record the update in every shared edge-level view it satisfies, then
+  // route it (paper Fig. 8 lines 1-7) to the matching trie nodes via the
+  // node-granular edgeInd — class-mask-gated, so only the endpoint
+  // generalizations some registered pattern uses are probed. Matching nodes
+  // run top-down; the final joins wait for FinalizeWindow.
+  AppendToBaseViews(u);
+  wctx.matching.clear();
+  forest_.RouteNodes(u, wctx.matching);
+  std::sort(wctx.matching.begin(), wctx.matching.end(),
+            [](const TrieNode* a, const TrieNode* b) {
+              return a->depth != b->depth ? a->depth < b->depth : a->seq < b->seq;
+            });
+  for (TrieNode* node : wctx.matching) {
+    if (BudgetExceeded()) return;  // the caller flags the timeout
+    ProcessMatchingNode(node, u, wctx);
   }
 }
 
-void TricEngine::FinalizeQueries(UpdateResult& result, DeltaScratch& ds) {
-  if (ds.affected_terminals.empty()) return;
-
-  // Group the affected covering paths per query, ascending qid.
-  std::vector<std::pair<QueryId, uint32_t>> affected_paths;  // (qid, path idx)
-  for (TrieNode* node : ds.affected_terminals)
-    for (const PathRef& ref : node->paths) affected_paths.emplace_back(ref.qid, ref.path_idx);
-  std::sort(affected_paths.begin(), affected_paths.end());
-  NoteRoutedCandidates(affected_paths.size());
-
-  size_t i = 0;
-  while (i < affected_paths.size()) {
-    const QueryId qid = affected_paths[i].first;
-    size_t j = i;
-    while (j < affected_paths.size() && affected_paths[j].first == qid) ++j;
-
-    if (BudgetExceeded()) {
-      result.timed_out = true;
-      return;
-    }
-
-    QueryEntry& entry = queries_.at(qid);
-
-    // All covering paths must have non-empty views for any embedding to
-    // exist (paper Fig. 8 line 12 precondition).
-    bool feasible = true;
-    for (const PathInfo& info : entry.paths) {
-      if (info.terminal->view->Empty()) {
-        feasible = false;
-        break;
-      }
-    }
-    if (!feasible) {
-      i = j;
-      continue;
-    }
-    NoteFinalJoinPass();
-
-    // Transient per-update assignment set over all query vertices (dedups
-    // across multiple affected paths).
-    const uint32_t num_vertices = static_cast<uint32_t>(entry.pattern.NumVertices());
-    Relation assignments(num_vertices);
-
-    for (size_t k = i; k < j; ++k) {
-      const uint32_t path_idx = affected_paths[k].second;
-      PathInfo& seed = entry.paths[path_idx];
-      TrieNode* node = seed.terminal;
-      if (node->epoch != ds.epoch) continue;  // no delta after all
-
-      OwnedBindings acc = PathRowsToBindings(
-          RowRange{node->view.get(), node->delta_begin, node->view->NumRows()},
-          seed.spec);
-      if (acc.Empty()) continue;
-
-      // Join the other covering paths' full views, preferring join partners
-      // that share vertices with the accumulated schema.
-      std::vector<uint32_t> remaining;
-      for (uint32_t p = 0; p < entry.paths.size(); ++p)
-        if (p != path_idx) remaining.push_back(p);
-
-      bool dead = false;
-      while (!remaining.empty() && !dead) {
-        size_t pick = 0;
-        for (size_t r = 0; r < remaining.size(); ++r) {
-          if (FirstSharedColumn(acc.schema, PathSchema(entry.paths[remaining[r]])) >= 0) {
-            pick = r;
-            break;
-          }
-        }
-        PathInfo& other = entry.paths[remaining[pick]];
-        const std::vector<uint32_t>& sb = PathSchema(other);
-        RowRange b = FullPathRange(other);
-        const HashIndex* idx = nullptr;
-        int col = FirstSharedColumn(acc.schema, sb);
-        if (col >= 0) idx = JoinIndexFor(b.rel, static_cast<uint32_t>(col));
-        acc = JoinBindingRanges(acc.schema, acc.All(), sb, b, idx);
-        dead = acc.Empty();
-        remaining.erase(remaining.begin() + pick);
-        if (BudgetExceeded()) {
-          result.timed_out = true;
-          return;
-        }
-      }
-      if (dead) continue;
-
-      // Project onto canonical vertex order and dedup into the per-update
-      // assignment set.
-      std::vector<uint32_t> perm(num_vertices);
-      for (uint32_t c = 0; c < acc.schema.size(); ++c) perm[acc.schema[c]] = c;
-      std::vector<VertexId> row(num_vertices);
-      for (size_t r = 0; r < acc.rows->NumRows(); ++r) {
-        const VertexId* src = acc.rows->Row(r);
-        for (uint32_t v = 0; v < num_vertices; ++v) row[v] = src[perm[v]];
-        // §4.3 extra phase: property constraints on the full assignment.
-        if (!SatisfiesConstraints(entry.pattern, row.data())) continue;
-        assignments.Append(row.data());
-      }
-    }
-
-    result.AddQueryCount(qid, assignments.NumRows());
-    NotePeakTransient(assignments.MemoryBytes());
-    i = j;
-  }
-}
-
-std::pair<RowRange, RowTags> TricEngine::FullPathRangeTagged(
-    PathInfo& info, TricWindowContext& wctx) {
+std::pair<RowRange, RowTags> TricEngine::FullPathRange(PathInfo& info,
+                                                      TricWindowContext& wctx) {
   Relation* view = info.terminal->view.get();
   if (!info.spec.has_repeats())
     return {AllRows(*view), wctx.prov.TagsFor(view)};
@@ -440,7 +247,7 @@ std::pair<RowRange, RowTags> TricEngine::FullPathRangeTagged(
   return {AllRows(*info.filtered), wctx.prov.TagsFor(info.filtered.get())};
 }
 
-bool TricEngine::EncodeFinalizeSignature(QueryId qid, std::vector<uint64_t>& out) {
+void TricEngine::EncodeFinalizeSignature(QueryId qid, std::vector<uint64_t>& out) {
   const QueryEntry& entry = queries_.at(qid);
   for (const PathInfo& info : entry.paths) {
     out.push_back(~1ull);  // path delimiter: (a)(b,c) and (a,b)(c) differ
@@ -448,7 +255,6 @@ bool TricEngine::EncodeFinalizeSignature(QueryId qid, std::vector<uint64_t>& out
     for (uint32_t v : info.pos_to_vertex) out.push_back(v);
   }
   AppendFilterSignature(entry.pattern, out);
-  return true;
 }
 
 void TricEngine::ListQueryIds(std::vector<QueryId>& out) const {
@@ -456,16 +262,16 @@ void TricEngine::ListQueryIds(std::vector<QueryId>& out) const {
   for (const auto& [qid, entry] : queries_) out.push_back(qid);
 }
 
-bool TricEngine::EvaluateWindowTagged(QueryEntry& entry,
-                                      const std::vector<uint32_t>& path_idxs,
-                                      TricWindowContext& wctx,
-                                      uint32_t probe_weight, bool& pass_ran,
-                                      std::vector<uint32_t>& tags) {
+bool TricEngine::EvaluateWindow(QueryEntry& entry,
+                                const std::vector<uint32_t>& path_idxs,
+                                TricWindowContext& wctx, uint32_t probe_weight,
+                                bool& pass_ran, std::vector<uint32_t>& tags) {
   pass_ran = false;
   tags.clear();
 
   // End-of-window feasibility: views only grow inside an insert window, so
-  // a path empty here was empty at every member position.
+  // a path empty here was empty at every member position (paper Fig. 8
+  // line 12 precondition).
   for (const PathInfo& info : entry.paths)
     if (info.terminal->view->Empty()) return true;
   NoteFinalJoinPass();
@@ -474,26 +280,31 @@ bool TricEngine::EvaluateWindowTagged(QueryEntry& entry,
   // Per-(query, window) assignment set: dedup on the vertex columns, each
   // row tagged with the window position sequential execution would have
   // reported it at (= the max tag over its contributing view rows; every
-  // derivation of a row carries the same tag). `probe_weight` > 1 marks a
-  // pass standing in for that many per-query chains (window-cache build
-  // decisions stay identical to the per-query pipeline's).
+  // derivation of a row carries the same tag). A window of one needs no
+  // tags — every new row belongs to position 1 — so it runs the untagged
+  // kernels. `probe_weight` > 1 marks a pass standing in for that many
+  // per-query chains (window-cache build decisions stay identical to the
+  // per-query pipeline's).
+  const bool tagged = wctx.window_size > 1;
   const uint32_t num_vertices = static_cast<uint32_t>(entry.pattern.NumVertices());
   Relation assignments(num_vertices);
-  assignments.EnableProvenance();
+  if (tagged) assignments.EnableProvenance();
 
   for (uint32_t path_idx : path_idxs) {
     PathInfo& seed = entry.paths[path_idx];
     Relation* seed_view = seed.terminal->view.get();
-    const size_t delta_begin = wctx.prov.WindowDeltaBegin(seed_view);
-    if (delta_begin >= seed_view->NumRows()) continue;  // no delta after all
+    const RowRange delta{seed_view, wctx.prov.WindowDeltaBegin(seed_view),
+                         seed_view->NumRows()};
+    if (delta.empty()) continue;  // no delta after all
 
-    OwnedBindings acc = PathRowsToBindingsTagged(
-        RowRange{seed_view, delta_begin, seed_view->NumRows()}, seed.spec,
-        wctx.prov.TagsFor(seed_view));
+    OwnedBindings acc =
+        tagged ? PathRowsToBindingsTagged(delta, seed.spec, wctx.prov.TagsFor(seed_view))
+               : PathRowsToBindings(delta, seed.spec);
     if (acc.Empty()) continue;
 
-    // One tagged join pass against the other covering paths' end-of-window
-    // views serves every update in the window; the tags reconstruct the
+    // One join pass against the other covering paths' end-of-window views
+    // serves every update in the window, preferring join partners that
+    // share vertices with the accumulated schema; the tags reconstruct the
     // per-update attribution below.
     std::vector<uint32_t> remaining;
     for (uint32_t p = 0; p < entry.paths.size(); ++p)
@@ -510,18 +321,20 @@ bool TricEngine::EvaluateWindowTagged(QueryEntry& entry,
       }
       PathInfo& other = entry.paths[remaining[pick]];
       const std::vector<uint32_t>& sb = PathSchema(other);
-      auto [b, b_tags] = FullPathRangeTagged(other, wctx);
+      auto [b, b_tags] = FullPathRange(other, wctx);
       const HashIndex* idx = nullptr;
       int col = FirstSharedColumn(acc.schema, sb);
       if (col >= 0)
         idx = JoinIndexFor(b.rel, static_cast<uint32_t>(col), probe_weight);
-      acc = JoinBindingRangesTagged(acc.schema, acc.All(), sb, b, b_tags, idx);
+      acc = tagged ? JoinBindingRangesTagged(acc.schema, acc.All(), sb, b, b_tags, idx)
+                   : JoinBindingRanges(acc.schema, acc.All(), sb, b, idx);
       dead = acc.Empty();
       remaining.erase(remaining.begin() + pick);
       if (BudgetExceeded()) return false;
     }
     if (dead) continue;
 
+    // Project onto canonical vertex order and dedup into the assignment set.
     std::vector<uint32_t> perm(num_vertices);
     for (uint32_t c = 0; c < acc.schema.size(); ++c) perm[acc.schema[c]] = c;
     std::vector<VertexId> row(num_vertices);
@@ -530,14 +343,17 @@ bool TricEngine::EvaluateWindowTagged(QueryEntry& entry,
       for (uint32_t v = 0; v < num_vertices; ++v) row[v] = src[perm[v]];
       // §4.3 extra phase: property constraints on the full assignment.
       if (!SatisfiesConstraints(entry.pattern, row.data())) continue;
-      assignments.AppendTagged(row.data(), acc.rows->ProvOf(r));
+      if (tagged)
+        assignments.AppendTagged(row.data(), acc.rows->ProvOf(r));
+      else
+        assignments.Append(row.data());
     }
   }
 
   // The deduplicated assignments' window positions (ScatterTagCounts input).
   tags.reserve(assignments.NumRows());
   for (size_t r = 0; r < assignments.NumRows(); ++r) {
-    const uint32_t tag = assignments.ProvOf(r);
+    const uint32_t tag = tagged ? assignments.ProvOf(r) : 1;
     GS_DCHECK(tag > 0);  // a new match always uses a window row
     tags.push_back(tag);
   }
@@ -545,23 +361,17 @@ bool TricEngine::EvaluateWindowTagged(QueryEntry& entry,
   return true;
 }
 
-void TricEngine::OnRouteGroupsRebuilt() {
-  // One bump invalidates every node's annotations at once; the rebuild below
-  // re-stamps exactly the terminals the live groups route through.
-  ++route_stamp_;
-  for (const auto& group : finalize_groups()) {
-    // Signature-equal members reference identical terminals at identical
-    // path indices (the signature pins terminal->seq per path in order), so
-    // the representative's annotations route the whole group.
-    const QueryEntry& rep = queries_.at(group->members[0]);
-    for (uint32_t pi = 0; pi < rep.paths.size(); ++pi) {
-      TrieNode* terminal = rep.paths[pi].terminal;
-      if (terminal->route_stamp != route_stamp_) {
-        terminal->route_groups.clear();
-        terminal->route_stamp = route_stamp_;
-      }
-      terminal->route_groups.emplace_back(group->id, pi);
-    }
+void TricEngine::AddGroupRoutes(uint32_t gid, QueryId member) {
+  const QueryEntry& entry = queries_.at(member);
+  for (uint32_t pi = 0; pi < entry.paths.size(); ++pi)
+    entry.paths[pi].terminal->route_groups.emplace_back(gid, pi);
+}
+
+void TricEngine::RemoveGroupRoutes(uint32_t gid, QueryId member) {
+  const QueryEntry& entry = queries_.at(member);
+  for (uint32_t pi = 0; pi < entry.paths.size(); ++pi) {
+    auto& routes = entry.paths[pi].terminal->route_groups;
+    routes.erase(std::find(routes.begin(), routes.end(), std::make_pair(gid, pi)));
   }
 }
 
@@ -571,16 +381,12 @@ void TricEngine::FinalizeWindow(WindowContext& ctx, UpdateResult* window_results
   const auto& groups = finalize_groups();
 
   // Expand the affected terminals through their group annotations into
-  // (group id, representative path idx) pairs: fan-out per signature group,
-  // not per query. Sorted so each group's paths form one run.
-  std::vector<std::pair<uint32_t, uint32_t>> affected;  // (group id, path idx)
-  for (TrieNode* node : wctx.affected_terminals) {
-    // Every path-holding terminal is some representative's terminal, and the
-    // grouping was rebuilt before this window fanned out.
-    GS_DCHECK(node->paths.empty() || node->route_stamp == route_stamp_);
-    for (const auto& [gid, pi] : node->route_groups)
-      affected.emplace_back(gid, pi);
-  }
+  // (group id, path idx) pairs: fan-out per signature group, not per query.
+  // Sorted so each group's paths form one run.
+  auto& affected = wctx.affected;
+  affected.clear();
+  for (TrieNode* node : wctx.affected_terminals)
+    affected.insert(affected.end(), node->route_groups.begin(), node->route_groups.end());
   std::sort(affected.begin(), affected.end());
   NoteRoutedCandidates(affected.size());
 
@@ -592,26 +398,28 @@ void TricEngine::FinalizeWindow(WindowContext& ctx, UpdateResult* window_results
 
     if (BudgetExceededNow()) return;  // timeout: partial, flagged by the caller
 
-    std::vector<uint32_t> path_idxs;
-    path_idxs.reserve(j - i);
-    for (size_t k = i; k < j; ++k) path_idxs.push_back(affected[k].second);
+    wctx.path_idxs.clear();
+    for (size_t k = i; k < j; ++k) wctx.path_idxs.push_back(affected[k].second);
     i = j;
 
-    // Evaluate the group's representative once; the tagged assignment set
-    // serves every member (groups that cannot share are singletons).
-    const FinalizeGroup& group = *groups[gid];
+    // Evaluate the group's first member once; its assignments serve every
+    // member.
+    const FinalizeGroup& group = groups[gid];
     bool pass_ran = false;
-    std::vector<uint32_t> tags;
-    if (!EvaluateWindowTagged(queries_.at(group.members[0]), path_idxs, wctx,
-                              static_cast<uint32_t>(group.members.size()),
-                              pass_ran, tags))
+    if (!EvaluateWindow(queries_.at(group.members[0]), wctx.path_idxs, wctx,
+                        static_cast<uint32_t>(group.members.size()), pass_ran,
+                        wctx.tags))
       return;
-    if (pass_ran && GroupSharingApplies(group)) NoteSharedGroupPass();
-    for (QueryId qid : group.members) ScatterTagCounts(tags, qid, window_results);
+    if (pass_ran && group.members.size() >= 2) NoteSharedGroupPass();
+    for (QueryId qid : group.members) ScatterTagCounts(wctx.tags, qid, window_results);
   }
 }
 
-void TricEngine::HandleDelete(const EdgeUpdate& u) {
+UpdateResult TricEngine::ApplyDelete(const EdgeUpdate& u) {
+  UpdateResult result;
+  result.changed = RemoveFromBaseViews(u);
+  if (!result.changed) return result;
+
   // Locate the affected tries: every trie containing a node whose pattern
   // matches the deleted edge.
   std::unordered_set<TrieNode*> roots;
@@ -639,6 +447,7 @@ void TricEngine::HandleDelete(const EdgeUpdate& u) {
       }
     }
   }
+  return result;
 }
 
 void TricEngine::DeleteCascade(TrieNode* node, const EdgeUpdate& u,

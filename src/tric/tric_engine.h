@@ -60,7 +60,6 @@ class TricEngine : public ViewEngineBase {
   explicit TricEngine(const Options& options);
 
   std::string name() const override;
-  UpdateResult ApplyUpdate(const EdgeUpdate& u) override;
   bool HasQuery(QueryId qid) const override { return queries_.count(qid) > 0; }
   size_t NumQueries() const override { return queries_.size(); }
   size_t MemoryBytes() const override;
@@ -88,24 +87,22 @@ class TricEngine : public ViewEngineBase {
   /// finalize (whose *other* covering-path terminals the final join reads).
   void BuildPatternReach() override;
 
-  /// The per-update insert (single inserts and windows of one): route,
-  /// cascade, then finalize the affected queries directly, with no signature
-  /// grouping and no provenance tags. Kept beside the window path because a
-  /// window of one measured +57% notify p50 on snb-churn and -8% records/s
-  /// on snb-qdb2500 (DESIGN.md §7.6).
-  UpdateResult ProcessInsert(const EdgeUpdate& u) override;
-
-  /// Window-delta pipeline (DESIGN.md §7): maintenance routes + cascades per
-  /// update (checkpointing touched node views), FinalizeWindow runs one
-  /// tagged final-join pass per (signature group, window) over the
-  /// accumulated terminal deltas (§9).
+  /// Window-delta pipeline (DESIGN.md §7), for every insert: maintenance
+  /// routes + cascades per update (checkpointing touched node views),
+  /// FinalizeWindow expands the affected terminals into (signature group,
+  /// path idx) pairs via their route annotations (DESIGN.md §12) and runs
+  /// one final-join pass per affected group, fanning the matches out to
+  /// every member (§9).
   std::unique_ptr<WindowContext> NewWindowContext() override;
   void ProcessInsertDelta(const EdgeUpdate& u, WindowContext& ctx,
                           UpdateResult& result) override;
-  /// Expands the affected terminals into (signature group, path idx) pairs
-  /// via the stamped annotations (DESIGN.md §12) and runs one evaluation per
-  /// group, fanning tags out to every member.
   void FinalizeWindow(WindowContext& ctx, UpdateResult* window_results) override;
+
+  /// Edge deletion (paper §4.3): retracts the tuple from the base views,
+  /// then walks the affected tries removing every prefix-view row that used
+  /// the deleted edge at any matching depth. Exact because a view row's edge
+  /// instances are fully determined by its vertex sequence.
+  UpdateResult ApplyDelete(const EdgeUpdate& u) override;
 
   /// Shared-finalize signature (DESIGN.md §9): per covering path the shared
   /// terminal node (clustering maps signature-equal paths to one node, so
@@ -113,14 +110,13 @@ class TricEngine : public ViewEngineBase {
   /// -> query-vertex map (the binding spec), plus the filter spec. Queries
   /// with equal encodings join the same terminal views with the same
   /// schemas and constraints.
-  bool EncodeFinalizeSignature(QueryId qid, std::vector<uint64_t>& out) override;
+  void EncodeFinalizeSignature(QueryId qid, std::vector<uint64_t>& out) override;
   void ListQueryIds(std::vector<QueryId>& out) const override;
 
-  /// Rebuilds the terminal-node routing annotations (DESIGN.md §12): each
-  /// group's representative stamps its terminals with (group id, path index)
-  /// pairs, so FinalizeWindow expands affected terminals straight into
-  /// affected groups. Stamp-validated — no per-node cleanup on rebuild.
-  void OnRouteGroupsRebuilt() override;
+  /// Terminal-node routing annotations (DESIGN.md §12): a group's
+  /// (group id, path index) pairs live on its members' shared terminals.
+  void AddGroupRoutes(uint32_t gid, QueryId member) override;
+  void RemoveGroupRoutes(uint32_t gid, QueryId member) override;
 
  private:
   struct PathInfo {
@@ -138,23 +134,24 @@ class TricEngine : public ViewEngineBase {
     std::vector<PathInfo> paths;
   };
 
-  /// Per-update delta scratch: the epoch stamping node delta windows and the
-  /// affected-terminal set. One instance per in-flight update, so
-  /// footprint-disjoint batch shards can process updates concurrently.
-  struct DeltaScratch {
-    uint64_t epoch = 0;
-    std::vector<TrieNode*> affected_terminals;
-    /// Non-null on the delta path: touched node views are checkpointed at
-    /// the context's current window position.
-    WindowContext* wctx = nullptr;
-  };
-
-  /// Shard-local window context: the affected terminals accumulated across
-  /// the window (deduplicated via TrieNode::window_affected_epoch against
-  /// `window_epoch`).
+  /// Window context: the affected terminals accumulated across the window
+  /// (deduplicated via TrieNode::affected_epoch against `window_epoch`, a
+  /// fresh draw per window) plus the routing and finalize scratch.
   struct TricWindowContext : WindowContext {
+    explicit TricWindowContext(std::atomic<uint64_t>& epochs) : epochs(epochs) {
+      window_epoch = epochs.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
+    void Reset() override {
+      WindowContext::Reset();
+      window_epoch = epochs.fetch_add(1, std::memory_order_relaxed) + 1;
+      affected_terminals.clear();
+    }
+    std::atomic<uint64_t>& epochs;
     uint64_t window_epoch = 0;
     std::vector<TrieNode*> affected_terminals;
+    std::vector<TrieNode*> matching;  ///< RouteNodes output, one update's.
+    std::vector<std::pair<uint32_t, uint32_t>> affected;  ///< (group id, path idx).
+    std::vector<uint32_t> path_idxs;  ///< One group's affected paths.
   };
 
   /// Allocates a freshly created trie node's view and backfills it from its
@@ -163,55 +160,35 @@ class TricEngine : public ViewEngineBase {
 
   /// Joins `node`'s parent view (or the update itself at roots) with `u`,
   /// appends the delta and cascades it down the sub-trie.
-  void ProcessMatchingNode(TrieNode* node, const EdgeUpdate& u, DeltaScratch& ds);
+  void ProcessMatchingNode(TrieNode* node, const EdgeUpdate& u,
+                           TricWindowContext& wctx);
 
   /// Extends rows [lo, hi) of `node`'s view into each child via the child's
   /// base edge view; recurses while deltas are non-empty.
-  void Cascade(TrieNode* node, size_t lo, size_t hi, DeltaScratch& ds);
+  void Cascade(TrieNode* node, size_t lo, size_t hi, TricWindowContext& wctx);
 
-  /// Lazily stamps the node's delta window for the scratch's epoch.
-  void EnsureEpoch(TrieNode* node, const DeltaScratch& ds);
+  /// Bookkeeping after a node's view grew from `rows_before`: terminal
+  /// views (the only ones the final joins read) are checkpointed at the
+  /// current window position and enter the window's affected set.
+  void NoteGrowth(TrieNode* node, size_t rows_before, TricWindowContext& wctx);
 
-  /// Window-delta bookkeeping after a node's view grew from `rows_before`:
-  /// checkpoints terminal views at the context's current position.
-  void NoteWindowGrowth(TrieNode* node, size_t rows_before, const DeltaScratch& ds);
-
-  /// Registers `node` in the per-update affected set when it terminates
-  /// covering paths.
-  void MarkAffected(TrieNode* node, DeltaScratch& ds);
-
-  /// Catches `info.filtered` up with its terminal view; returns the full
-  /// binding range + schema of the path (view-backed when acyclic).
-  RowRange FullPathRange(PathInfo& info);
   const std::vector<uint32_t>& PathSchema(const PathInfo& info) const;
 
-  /// FullPathRange plus the rows' window tags (checkpointing `filtered`
-  /// rows as they are caught up, so cyclic paths tag correctly too).
-  std::pair<RowRange, RowTags> FullPathRangeTagged(PathInfo& info,
-                                                   TricWindowContext& wctx);
+  /// The full binding range of a path plus its rows' window tags: the
+  /// terminal view when acyclic; for cyclic paths `info.filtered`, caught up
+  /// with its terminal view first (checkpointing the caught-up rows, so
+  /// they tag correctly too).
+  std::pair<RowRange, RowTags> FullPathRange(PathInfo& info, TricWindowContext& wctx);
 
-  /// Routing (paper Fig. 8 lines 1-7): resolves the matching trie nodes for
-  /// `u`, top-down, and processes each. Returns false on a budget trip
-  /// (`result.timed_out` is set).
-  bool RouteUpdate(const EdgeUpdate& u, DeltaScratch& ds, UpdateResult& result);
+  /// One whole-window final join of `entry` seeded from the covering paths
+  /// in `path_idxs`, appending each new assignment's window position to
+  /// `tags`. `pass_ran` is false when the feasibility gate skipped the
+  /// evaluation. Returns false on a budget abort (the caller must end the
+  /// finalize).
+  bool EvaluateWindow(QueryEntry& entry, const std::vector<uint32_t>& path_idxs,
+                      TricWindowContext& wctx, uint32_t probe_weight,
+                      bool& pass_ran, std::vector<uint32_t>& tags);
 
-  /// Per-query final join (paper Fig. 8 lines 8-13, delta-seeded).
-  void FinalizeQueries(UpdateResult& result, DeltaScratch& ds);
-
-  /// One tagged whole-window final join of `entry` seeded from the covering
-  /// paths in `path_idxs`. `pass_ran` is false when the feasibility gate
-  /// skipped the evaluation. Returns false on a budget abort (the caller
-  /// must end the finalize).
-  bool EvaluateWindowTagged(QueryEntry& entry,
-                            const std::vector<uint32_t>& path_idxs,
-                            TricWindowContext& wctx, uint32_t probe_weight,
-                            bool& pass_ran, std::vector<uint32_t>& tags);
-
-  /// Edge deletion (paper §4.3): retracts the tuple from the base views,
-  /// then walks the affected tries removing every prefix-view row that used
-  /// the deleted edge at any matching depth. Exact because a view row's edge
-  /// instances are fully determined by its vertex sequence.
-  void HandleDelete(const EdgeUpdate& u);
   void DeleteCascade(TrieNode* node, const EdgeUpdate& u,
                      std::vector<uint32_t>& depths);
 
@@ -234,13 +211,9 @@ class TricEngine : public ViewEngineBase {
   std::unordered_map<QueryId, QueryEntry> queries_;
   std::unique_ptr<JoinCache> cache_;  ///< Non-null for TRIC+.
 
-  /// Epoch allocator; atomic so concurrent batch shards draw unique epochs.
+  /// Window-epoch allocator; atomic so concurrent batch shards draw unique
+  /// epochs.
   std::atomic<uint64_t> epoch_{0};
-
-  /// Validity stamp of the TrieNode::route_groups annotations: a node's list
-  /// is meaningful only when its route_stamp matches. Bumped on every
-  /// grouping rebuild, so stale annotations expire without a trie walk.
-  uint64_t route_stamp_ = 0;
 };
 
 }  // namespace tric

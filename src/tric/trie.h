@@ -37,21 +37,15 @@ struct TrieNode {
   std::unique_ptr<Relation> view;
   std::vector<PathRef> paths;  ///< Covering paths terminating here.
 
-  /// Delta bookkeeping for the current update epoch: rows appended during the
-  /// epoch are [delta_begin, view->NumRows()).
-  uint64_t epoch = 0;
-  size_t delta_begin = 0;
-  uint64_t affected_epoch = 0;  ///< Last epoch this node entered the affected set.
-  /// Last delta-window epoch this node entered the *window* affected set
-  /// (window-delta pipeline; written only by the node's owning shard).
-  uint64_t window_affected_epoch = 0;
+  /// Last window epoch this node entered a window's affected set (written
+  /// only by the node's owning shard).
+  uint64_t affected_epoch = 0;
 
   /// Window-finalize projection of `paths` (DESIGN.md §12): the signature
-  /// groups whose representative member has a covering path terminating here,
-  /// as (group id, representative's path index) pairs. Valid only while
-  /// `route_stamp` equals the engine's group-rebuild stamp — stale lists are
-  /// lazily rebuilt, so query churn never walks the forest.
-  uint64_t route_stamp = 0;
+  /// groups with a covering path terminating here, as (group id, path index)
+  /// pairs — signature-equal members share terminals at equal path indices,
+  /// so one pair serves the whole group. Maintained per group: added when
+  /// the group forms, removed when it empties.
   std::vector<std::pair<uint32_t, uint32_t>> route_groups;
 
   size_t MemoryBytes() const;

@@ -231,8 +231,8 @@ TEST(RoutedDispatch, AgreesWithOracleUnderChurn) {
     SCOPED_TRACE(EngineKindName(kind));
     ExpectRoutedAgrees(kind, base, pool, w.stream.updates(), /*window=*/16,
                        /*add_period=*/2, /*remove_period=*/3, "snb churn");
-    // Windows of one take the single-insert path (TRIC's per-update insert,
-    // the other engines' one-position window).
+    // Windows of one: the untagged single-position finalize, with queries
+    // joining and leaving their signature groups between inserts.
     ExpectRoutedAgrees(kind, base, pool, w.stream.updates(), /*window=*/1,
                        /*add_period=*/5, /*remove_period=*/7, "snb window=1");
   }

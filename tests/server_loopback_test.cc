@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -287,9 +289,9 @@ TEST(ServerLoopback, IdleConnectionIsDisconnected) {
 }
 
 TEST(ServerLoopback, HeartbeatFasterThanApplyTickNeverPrecedesHelloAck) {
-  // The apply loop queues HelloAck on its next control-op tick (up to 20 ms
-  // after the attach); a 1 ms heartbeat fires many times in that gap. The
-  // client's handshake must still see HelloAck first, every time.
+  // The apply thread queues HelloAck when it next runs the control ops; a
+  // 1 ms heartbeat can fire before that. The client's handshake must still
+  // see HelloAck first, every time.
   ServerOptions opts = FastServerOptions();
   opts.heartbeat_millis = 1;
   opts.window_flush_millis = 20;
@@ -301,6 +303,36 @@ TEST(ServerLoopback, HeartbeatFasterThanApplyTickNeverPrecedesHelloAck) {
     ASSERT_TRUE(client.Connect(&err)) << "attempt " << i << ": " << err;
     client.Close();
   }
+  server.Drain();
+}
+
+TEST(ServerLoopback, SubscribeRoundTripDoesNotWaitForTheApplyTick) {
+  // Control ops (attach, Subscribe, Unsubscribe) wake the apply thread. If
+  // they waited for its next poll tick instead — min(window_flush_millis,
+  // 20) = 20 ms here — the median Subscribe -> SubAck round trip would sit
+  // near half a tick; the engine work behind it is microseconds.
+  ServerOptions opts = FastServerOptions();
+  opts.window_flush_millis = 20;
+  Server server(opts);
+  std::string err;
+  ASSERT_TRUE(server.Start(&err)) << err;
+  Client client(ClientOptionsFor(server));
+  ASSERT_TRUE(client.Connect(&err)) << err;
+
+  std::vector<double> round_trip_ms;
+  for (uint32_t i = 0; i < 21; ++i) {
+    SubAckMsg ack;
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.Subscribe(i, kPatterns[i % kNumPatterns], &ack, &err)) << err;
+    round_trip_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    ASSERT_EQ(ack.status, static_cast<uint8_t>(SubStatus::kNew)) << ack.message;
+  }
+  std::nth_element(round_trip_ms.begin(), round_trip_ms.begin() + 10,
+                   round_trip_ms.end());
+  EXPECT_LT(round_trip_ms[10], 5.0) << "median Subscribe round trip (ms)";
+  client.Close();
   server.Drain();
 }
 

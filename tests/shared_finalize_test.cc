@@ -133,7 +133,7 @@ TEST(SharedFinalizeDirected, PassesCollapseToDistinctSignatures) {
 }
 
 TEST(SharedFinalizeDirected, RemoveQueryInvalidatesSignatureGroups) {
-  // Mid-stream RemoveQuery of a group member must rebuild the grouping: a
+  // Mid-stream RemoveQuery of a group member leaves its group at once: a
   // 3-query group keeps sharing as a 2-query group, and the last survivor
   // is a singleton group (its pass serves nobody else).
   StringInterner in;
@@ -172,6 +172,94 @@ TEST(SharedFinalizeDirected, RemoveQueryInvalidatesSignatureGroups) {
         << engine->name() << " (singleton group: one unshared pass)";
     EXPECT_EQ(engine->shared_finalize_groups(), 2u)
         << engine->name() << " (no new shared pass after the group dissolved)";
+  }
+}
+
+TEST(SharedFinalizeDirected, SingleInsertsFinalizePerSignatureGroup) {
+  // A single insert (ApplyUpdate) is a window of one on every view engine,
+  // so it finalizes per signature group like any window: a signature-equal
+  // twin pair costs exactly the passes of its first member alone — one per
+  // affected update, each shared by both twins. Removing the group's first
+  // member (the lowest qid, the one the pass evaluates) must leave the
+  // twin's notifications exact; removing the twin too empties the group and
+  // drops its routes, and a later registration of the same signature forms
+  // a fresh group. Every update is checked against the naive oracle.
+  StringInterner in;
+  QueryPattern chain = Parse("(?a)-[r]->(?b); (?b)-[r]->(?c)", in);
+  QueryPattern twin = Parse("(?x)-[r]->(?y); (?y)-[r]->(?z)", in);
+  LabelId rl = in.Intern("r");
+  auto v = [&](int i) { return in.Intern("v" + std::to_string(i)); };
+  auto chain_run = [&](int from, int to) {
+    std::vector<EdgeUpdate> run;
+    for (int i = from; i < to; ++i) run.push_back({v(i), rl, v(i + 1), UpdateOp::kAdd});
+    return run;
+  };
+  // Phase 1 also replays a duplicate, a delete and the re-insert it allows.
+  std::vector<EdgeUpdate> phase1 = chain_run(0, 12);
+  const EdgeUpdate mid{v(5), rl, v(6), UpdateOp::kAdd};
+  phase1.push_back(mid);
+  phase1.push_back({mid.src, mid.label, mid.dst, UpdateOp::kDelete});
+  phase1.push_back(mid);
+  const std::vector<EdgeUpdate> phase2 = chain_run(20, 28);
+  const std::vector<EdgeUpdate> phase3_empty = chain_run(30, 32);
+  const std::vector<EdgeUpdate> phase3 = chain_run(32, 36);
+
+  for (EngineKind kind : kViewKinds) {
+    auto engine = CreateEngine(kind);
+    auto solo = CreateEngine(kind);  // the first twin alone
+    auto oracle = CreateEngine(EngineKind::kNaive);
+    engine->AddQuery(0, chain);
+    engine->AddQuery(1, twin);
+    solo->AddQuery(0, chain);
+    oracle->AddQuery(0, chain);
+    oracle->AddQuery(1, twin);
+    const std::string name = engine->name();
+
+    // Applies `u` to the engine and the oracle, checks the results, counts
+    // notifying updates, and returns the engine's final-join passes for `u`.
+    size_t notifying = 0;
+    const auto apply = [&](const EdgeUpdate& u, const char* phase) {
+      const uint64_t passes_before = engine->final_join_passes();
+      const UpdateResult expected = oracle->ApplyUpdate(u);
+      ExpectMatchesOracle({engine->ApplyUpdate(u)}, {expected}, 0,
+                          name + " " + phase);
+      const uint64_t passes = engine->final_join_passes() - passes_before;
+      if (!expected.per_query.empty()) {
+        ++notifying;
+        EXPECT_GE(passes, 1u) << name << " " << phase;
+      }
+      return passes;
+    };
+
+    for (const EdgeUpdate& u : phase1) {
+      const uint64_t solo_before = solo->final_join_passes();
+      const uint64_t shared_before = engine->shared_finalize_groups();
+      const uint64_t passes = apply(u, "twins");
+      solo->ApplyUpdate(u);
+      // INV re-evaluates each query's count on a delete, outside the groups.
+      if (u.op == UpdateOp::kDelete) continue;
+      ASSERT_LE(passes, 1u) << name << " (one group, one pass)";
+      ASSERT_EQ(passes, solo->final_join_passes() - solo_before) << name;
+      ASSERT_EQ(engine->shared_finalize_groups() - shared_before, passes)
+          << name << " (every pass serves both twins)";
+    }
+    const uint64_t shared_with_twins = engine->shared_finalize_groups();
+
+    ASSERT_TRUE(engine->RemoveQuery(0));
+    ASSERT_TRUE(oracle->RemoveQuery(0));
+    for (const EdgeUpdate& u : phase2) ASSERT_LE(apply(u, "twin alone"), 1u) << name;
+    EXPECT_EQ(engine->shared_finalize_groups(), shared_with_twins) << name;
+
+    ASSERT_TRUE(engine->RemoveQuery(1));
+    ASSERT_TRUE(oracle->RemoveQuery(1));
+    for (const EdgeUpdate& u : phase3_empty)
+      ASSERT_EQ(apply(u, "no queries"), 0u) << name << " (the emptied group left no routes)";
+
+    engine->AddQuery(2, chain);
+    oracle->AddQuery(2, chain);
+    const size_t notifying_before = notifying;
+    for (const EdgeUpdate& u : phase3) ASSERT_LE(apply(u, "re-registered"), 1u) << name;
+    EXPECT_EQ(notifying - notifying_before, phase3.size()) << name;
   }
 }
 
@@ -344,12 +432,12 @@ TEST(SharedFinalizeAgreement, HighOverlapWithMidStreamRemovals) {
   }
 }
 
-TEST(SharedFinalizeAgreement, ParallelSignatureBuildMatchesSingleThread) {
-  // EnsureFinalizeGroups fans the signature *encode* loop over the batch
-  // pool once the rebuild covers >= 64 queries (view_engine_base.cc's
-  // kParallelSignatureMin); the grouping itself stays sequential, so a
-  // threaded build must produce exactly the single-threaded build's groups
-  // — same group count, same pass collapse, same per-update results.
+TEST(SharedFinalizeAgreement, ThreadedWindowsGroupLikeSingleThread) {
+  // Signature groups are joined on the coordinator at the start of each
+  // insert window, and sharded windows then read them from every executor:
+  // a threads=4 run must see exactly the single-threaded run's groups — same
+  // pass collapse, same shared passes, same state — and both must agree
+  // with the oracle per update.
   workload::SnbConfig config;
   config.num_updates = 240;
   config.seed = 29;
@@ -358,7 +446,7 @@ TEST(SharedFinalizeAgreement, ParallelSignatureBuildMatchesSingleThread) {
   workload::Workload w = workload::GenerateSnb(config);
 
   workload::QueryGenConfig qcfg;
-  qcfg.num_queries = 96;  // Above the parallel-encode threshold.
+  qcfg.num_queries = 96;
   qcfg.avg_size = 4.0;
   qcfg.selectivity = 0.25;
   qcfg.overlap = 0.65;
@@ -366,12 +454,10 @@ TEST(SharedFinalizeAgreement, ParallelSignatureBuildMatchesSingleThread) {
   workload::QuerySet qs = workload::GenerateQueries(w, qcfg);
 
   for (EngineKind kind : kViewKinds) {
-    // Oracle agreement of the threaded build.
-    ExpectSharedAgrees(kind, qs.queries, w.stream.updates(), /*window=*/32,
-                       /*threads=*/4, {}, "parallel-signatures");
+    for (int threads : {1, 4})
+      ExpectSharedAgrees(kind, qs.queries, w.stream.updates(), /*window=*/32,
+                         threads, {}, "threaded-groups");
 
-    // Grouping determinism: the pool-parallel build lands on the identical
-    // group structure and pass counts as the single-threaded build.
     auto threaded = CreateEngine(kind);
     auto single = CreateEngine(kind);
     for (QueryId qid = 0; qid < qs.queries.size(); ++qid) {

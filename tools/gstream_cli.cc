@@ -5,7 +5,7 @@
 // Usage:
 //   gstream_cli --queries=FILE [--dataset=snb|taxi|bio] [--updates=N]
 //               [--stream=FILE.csv] [--events=FILE.gse] [--gsb=FILE.gsb]
-//               [--engine=tric+|tric|inv|inv+|inc|inc+|graphdb]
+//               [--engine=tric+|tric|inv|inv+|inc|inc+|graphdb|naive]
 //               [--seed=N] [--verbose]
 //               [--batch=N] [--threads=N]
 //
@@ -91,18 +91,6 @@
 using namespace gstream;
 
 namespace {
-
-EngineKind ParseEngine(const std::string& name) {
-  if (name == "tric") return EngineKind::kTric;
-  if (name == "tric+") return EngineKind::kTricPlus;
-  if (name == "inv") return EngineKind::kInv;
-  if (name == "inv+") return EngineKind::kInvPlus;
-  if (name == "inc") return EngineKind::kInc;
-  if (name == "inc+") return EngineKind::kIncPlus;
-  if (name == "graphdb") return EngineKind::kGraphDb;
-  std::fprintf(stderr, "unknown engine '%s', using tric+\n", name.c_str());
-  return EngineKind::kTricPlus;
-}
 
 workload::Workload MakeDataset(const std::string& name, size_t updates,
                                uint64_t seed) {
@@ -448,14 +436,24 @@ int RunGsbMode(const Flags& flags, EngineKind kind, size_t batch, int threads,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const char* usage =
+      "usage: gstream_cli --queries=FILE [--dataset=snb|taxi|bio] "
+      "[--updates=N] [--stream=FILE.csv] [--events=FILE] [--gsb=FILE.gsb] "
+      "[--engine=tric+|tric|inv|inv+|inc|inc+|graphdb|naive] [--seed=N] "
+      "[--verbose] [--batch=N] [--threads=N] (pipeline, window and fault "
+      "flags: see the header comment of gstream_cli.cc)";
   Flags flags = Flags::Parse(argc, argv);
+  flags.RejectUnknown(
+      {"queries", "events", "dataset", "updates", "stream", "gsb", "engine",
+       "seed", "verbose", "batch", "threads", "readers", "ring", "overload",
+       "on-corrupt", "stall-us", "snapshot", "snapshot-every", "recover",
+       "window-policy", "window-width", "fault-seed", "fault-flips",
+       "fault-flip-records", "fault-truncate", "fault-dup", "fault-swap"},
+      usage);
   const std::string query_file = flags.GetString("queries", "");
   const std::string events_file = flags.GetString("events", "");
   if (query_file.empty() && events_file.empty()) {
-    std::fprintf(stderr,
-                 "usage: gstream_cli --queries=FILE [--dataset=snb|taxi|bio] "
-                 "[--updates=N] [--events=FILE] [--engine=tric+|...] "
-                 "[--seed=N] [--verbose]\n");
+    std::fprintf(stderr, "%s\n", usage);
     return 2;
   }
   const std::string dataset = flags.GetString("dataset", "snb");
@@ -465,7 +463,12 @@ int main(int argc, char** argv) {
   // Rejects 0/negative/non-numeric values with a clear error (exit 2).
   const size_t batch = static_cast<size_t>(flags.GetPositiveInt("batch", 1));
   const int threads = static_cast<int>(flags.GetPositiveInt("threads", 1));
-  const EngineKind kind = ParseEngine(flags.GetString("engine", "tric+"));
+  const std::string engine_name = flags.GetString("engine", "tric+");
+  EngineKind kind = EngineKind::kTricPlus;
+  if (!ParseEngineKind(engine_name, &kind)) {
+    std::fprintf(stderr, "unknown --engine=%s\n%s\n", engine_name.c_str(), usage);
+    return 2;
+  }
 
   // Binary file replay through the fault-tolerant ingest pipeline.
   if (flags.Has("gsb"))

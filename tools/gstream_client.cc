@@ -32,10 +32,23 @@
 using namespace gstream;
 
 int main(int argc, char** argv) {
+  const char* usage =
+      "usage: gstream_client --port=N [--host=127.0.0.1] [--name=client] "
+      "[--stream=FILE.csv | --dataset=snb --updates=N --seed=N] "
+      "[--queries=FILE] [--wait-drain] [--fault-tear=N] [--fault-dup=N] "
+      "[--fault-reorder=N] [--fault-delay=N --fault-delay-micros=U] "
+      "[--fault-resets=N] [--fault-seed=N] [--heartbeat-millis=N] "
+      "[--timeout-millis=N] [--max-reconnects=N]";
   Flags flags = Flags::Parse(argc, argv);
+  flags.RejectUnknown(
+      {"port", "host", "name", "stream", "dataset", "updates", "seed",
+       "queries", "wait-drain", "fault-tear", "fault-dup", "fault-reorder",
+       "fault-delay", "fault-delay-micros", "fault-resets", "fault-seed",
+       "heartbeat-millis", "timeout-millis", "max-reconnects"},
+      usage);
   const int port = static_cast<int>(flags.GetInt("port", 0));
   if (port <= 0) {
-    std::fprintf(stderr, "usage: gstream_client --port=N [options]\n");
+    std::fprintf(stderr, "%s\n", usage);
     return 2;
   }
 

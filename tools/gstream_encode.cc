@@ -58,13 +58,17 @@ workload::Workload MakeDataset(const std::string& name, size_t updates,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const char* usage =
+      "usage: gstream_encode --out=FILE.gsb [--dataset=snb|taxi|bio] "
+      "[--updates=N] [--seed=N] [--stream=FILE.csv] [--block-records=N] "
+      "[--ts-start=N --ts-step=N]";
   Flags flags = Flags::Parse(argc, argv);
+  flags.RejectUnknown({"out", "dataset", "updates", "seed", "stream",
+                       "block-records", "ts-start", "ts-step"},
+                      usage);
   const std::string out = flags.GetString("out", "");
   if (out.empty()) {
-    std::fprintf(stderr,
-                 "usage: gstream_encode --out=FILE.gsb "
-                 "[--dataset=snb|taxi|bio] [--updates=N] [--seed=N] "
-                 "[--stream=FILE.csv] [--block-records=N]\n");
+    std::fprintf(stderr, "%s\n", usage);
     return 2;
   }
   const std::string dataset = flags.GetString("dataset", "snb");

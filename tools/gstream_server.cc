@@ -35,18 +35,6 @@ using namespace gstream;
 
 namespace {
 
-EngineKind ParseEngine(const std::string& name) {
-  if (name == "tric") return EngineKind::kTric;
-  if (name == "tric+") return EngineKind::kTricPlus;
-  if (name == "inv") return EngineKind::kInv;
-  if (name == "inv+") return EngineKind::kInvPlus;
-  if (name == "inc") return EngineKind::kInc;
-  if (name == "inc+") return EngineKind::kIncPlus;
-  if (name == "graphdb") return EngineKind::kGraphDb;
-  std::fprintf(stderr, "unknown engine '%s', using tric+\n", name.c_str());
-  return EngineKind::kTricPlus;
-}
-
 bool ParseOverload(const std::string& name, ingest::OverloadPolicy* out) {
   if (name == "block") *out = ingest::OverloadPolicy::kBlock;
   else if (name == "shed") *out = ingest::OverloadPolicy::kShed;
@@ -66,11 +54,29 @@ int main(int argc, char** argv) {
   sigaddset(&sigs, SIGINT);
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
+  const char* usage =
+      "usage: gstream_server [--engine=tric+] [--host=127.0.0.1] [--port=0] "
+      "[--window=N] [--threads=N] [--ring-capacity=N] "
+      "[--overload=block|shed|failfast] [--slow-client=block|shed|disconnect] "
+      "[--outbound-capacity=N] [--sndbuf-bytes=N] [--heartbeat-millis=N] "
+      "[--idle-timeout-millis=N] [--flush-millis=N] "
+      "[--journal=FILE.gsb --state=FILE.state] [--snapshot-every=WINDOWS] "
+      "[--window-policy=none|time|count|label-ttl] [--window-width=N]";
   Flags flags = Flags::Parse(argc, argv);
+  flags.RejectUnknown(
+      {"engine", "host", "port", "window", "threads", "ring-capacity",
+       "overload", "slow-client", "outbound-capacity", "sndbuf-bytes",
+       "heartbeat-millis", "idle-timeout-millis", "flush-millis", "journal",
+       "state", "snapshot-every", "window-policy", "window-width"},
+      usage);
   server::ServerOptions opts;
   opts.host = flags.GetString("host", "127.0.0.1");
   opts.port = static_cast<int>(flags.GetIntAtLeast("port", 0, 0));
-  opts.engine = ParseEngine(flags.GetString("engine", "tric+"));
+  const std::string engine = flags.GetString("engine", "tric+");
+  if (!ParseEngineKind(engine, &opts.engine)) {
+    std::fprintf(stderr, "unknown --engine=%s\n%s\n", engine.c_str(), usage);
+    return 2;
+  }
   opts.batch_window = static_cast<size_t>(flags.GetPositiveInt("window", 32));
   opts.batch_threads = static_cast<int>(flags.GetPositiveInt("threads", 1));
   opts.ring_capacity =
