@@ -25,7 +25,7 @@ BenchOptions BenchOptions::FromArgs(int argc, char** argv) {
       flags.GetDouble("budget-sec", opts.full ? 86400.0 : 8.0);
   opts.cell_budget_seconds =
       flags.GetDouble("cell-budget-sec", opts.full ? 86400.0 : 2.0);
-  opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  opts.seed = static_cast<uint64_t>(flags.GetIntAtLeast("seed", 42, 0));
   opts.csv = flags.GetBool("csv", false);
   // Rejects 0/negative/non-numeric values with a clear error (exit 2).
   opts.batch = static_cast<size_t>(flags.GetPositiveInt("batch", 1));
@@ -47,45 +47,30 @@ GrowthSeries RunGrowthSeries(EngineKind kind,
   auto engine = CreateEngine(kind);
   series.index_stats = IndexQueries(*engine, queries);
 
-  Budget budget;
-  budget.SetDeadlineAfter(budget_seconds);
-  engine->set_budget(&budget);
-  if (batch > 1) engine->SetBatchThreads(threads);
-
-  size_t pos = 0;
-  bool dead = false;
-  WallTimer total;
-  for (size_t seg = 0; seg < checkpoints.size() && !dead; ++seg) {
+  EngineRunScope run(*engine, budget_seconds, batch > 1 ? threads : 1);
+  ResultAccumulator acc;
+  const size_t window = std::max<size_t>(batch, 1);
+  for (size_t seg = 0; seg < checkpoints.size() && !acc.stats.timed_out; ++seg) {
     const size_t seg_end = checkpoints[seg];
-    const size_t seg_begin = pos;
+    const size_t seg_begin = acc.stats.updates_applied;
     WallTimer seg_timer;
-    while (pos < seg_end && !dead) {
-      if (batch <= 1) {
-        UpdateResult result = engine->ApplyUpdate(stream[pos]);
-        ++pos;
-        series.new_embeddings += result.new_embeddings;
-        if (result.timed_out || budget.ExceededNow()) dead = true;
-        continue;
-      }
-      const size_t n = std::min(batch, seg_end - pos);
-      std::vector<UpdateResult> results =
-          engine->ApplyBatch(&stream.updates()[pos], n);
-      pos += results.size();
-      for (const UpdateResult& r : results) {
-        series.new_embeddings += r.new_embeddings;
-        if (r.timed_out) dead = true;
-      }
-      if (results.size() < n || budget.ExceededNow()) dead = true;
+    for (size_t pos = seg_begin; pos < seg_end; pos += window) {
+      const size_t n = std::min(window, seg_end - pos);
+      if (!ApplyStreamWindow(*engine, &stream.updates()[pos], n, acc,
+                             run.budget()))
+        break;
     }
-    const size_t processed = pos - seg_begin;
+    const size_t processed = acc.stats.updates_applied - seg_begin;
     if (processed > 0) {
       const double seg_ms = seg_timer.ElapsedMillis();
       series.answer_millis += seg_ms;
       series.segment_ms[seg] = seg_ms / processed;
-      series.partial[seg] = dead && pos < seg_end;
+      series.partial[seg] =
+          acc.stats.timed_out && acc.stats.updates_applied < seg_end;
     }
   }
-  series.updates_applied = pos;
+  series.updates_applied = acc.stats.updates_applied;
+  series.new_embeddings = acc.stats.new_embeddings;
   series.memory_bytes = engine->MemoryBytes();
   series.final_join_passes = engine->final_join_passes();
   series.shared_finalize_groups = engine->shared_finalize_groups();

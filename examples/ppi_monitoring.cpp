@@ -20,7 +20,8 @@ using namespace gstream;
 
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
-  const size_t updates = static_cast<size_t>(flags.GetInt("updates", 20'000));
+  const size_t updates =
+      static_cast<size_t>(flags.GetPositiveInt("updates", 20'000));
 
   workload::BioConfig config;
   config.num_updates = updates;

@@ -49,11 +49,6 @@ std::string Flags::GetString(const std::string& name, const std::string& def) co
   return it == values_.end() ? def : it->second;
 }
 
-int64_t Flags::GetInt(const std::string& name, int64_t def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
 double Flags::GetDouble(const std::string& name, double def) const {
   auto it = values_.find(name);
   return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);

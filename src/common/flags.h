@@ -20,15 +20,15 @@ class Flags {
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
 
   std::string GetString(const std::string& name, const std::string& def) const;
-  int64_t GetInt(const std::string& name, int64_t def) const;
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def) const;
 
-  /// Strictly parsed integer in [min, 2^63): a present flag that is not a
-  /// number, has trailing junk, or is below `min` prints a clear error to
-  /// stderr and exits with status 2 (config typos like `--batch=0` or
-  /// `--threads=-1` must not silently run a degenerate setup). Absent flags
-  /// return `def` unchecked.
+  /// The one integer parser: a strictly parsed integer in [min, 2^63). A
+  /// present flag that is not a number, has trailing junk, or is below `min`
+  /// prints a clear error to stderr and exits with status 2 (config typos
+  /// like `--batch=0`, `--updates=-1` or `--seed=abc` must not silently run
+  /// a degenerate setup). Absent flags return `def` unchecked. Seeds and
+  /// ports use min = 0.
   int64_t GetIntAtLeast(const std::string& name, int64_t def, int64_t min) const;
 
   /// GetIntAtLeast with min = 1: window sizes, thread counts, scales.

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "time/window.h"
 
 namespace gstream {
 
@@ -19,95 +20,105 @@ IndexStats IndexQueries(ContinuousEngine& engine,
   return stats;
 }
 
-RunStats RunStream(ContinuousEngine& engine, const UpdateStream& stream,
-                   const RunConfig& config, ResultAccumulator::Sink sink) {
+EngineRunScope::EngineRunScope(ContinuousEngine& engine, double budget_seconds,
+                               int batch_threads)
+    : engine_(engine), threaded_(batch_threads > 1) {
+  if (std::isfinite(budget_seconds)) budget_.SetDeadlineAfter(budget_seconds);
+  engine_.set_budget(&budget_);
+  if (threaded_) engine_.SetBatchThreads(batch_threads);
+}
+
+EngineRunScope::EngineRunScope(ContinuousEngine& engine, const RunConfig& config)
+    : EngineRunScope(engine, config.budget_seconds,
+                     config.batch_window > 1 ? config.batch_threads : 1) {
   GS_CHECK_MSG(config.batch_window >= 1, "batch_window must be >= 1");
   GS_CHECK_MSG(config.batch_threads >= 1, "batch_threads must be >= 1");
-  Budget budget;
-  if (std::isfinite(config.budget_seconds))
-    budget.SetDeadlineAfter(config.budget_seconds);
-  engine.set_budget(&budget);
+}
 
+EngineRunScope::~EngineRunScope() {
+  if (threaded_) engine_.SetBatchThreads(1);
+  engine_.set_budget(nullptr);
+}
+
+bool ApplyStreamWindow(ContinuousEngine& engine, const EdgeUpdate* records,
+                       size_t n, ResultAccumulator& acc, Budget* budget,
+                       temporal::WindowManager* expiry) {
+  const bool splice = expiry != nullptr && expiry->config().enabled();
+  const EdgeUpdate* window = records;
+  size_t count = n;
+  if (splice) {
+    acc.spliced.clear();
+    acc.spliced_is_record.clear();
+    for (size_t i = 0; i < n; ++i) {
+      expiry->Advance(records[i], acc.spliced);
+      acc.spliced_is_record.resize(acc.spliced.size(), 0);
+      acc.spliced.push_back(records[i]);
+      acc.spliced_is_record.push_back(1);
+    }
+    window = acc.spliced.data();
+    count = acc.spliced.size();
+  }
+
+  bool timed_out = false;
+  if (count == 1) {
+    timed_out = acc.Absorb(engine.ApplyUpdate(*window));
+  } else {
+    const std::vector<UpdateResult> results = engine.ApplyBatch(window, count);
+    for (size_t k = 0; k < results.size(); ++k) {
+      if (splice && acc.spliced_is_record[k] == 0)
+        timed_out |= results[k].timed_out;
+      else
+        timed_out |= acc.Absorb(results[k]);
+    }
+    timed_out |= results.size() < count;
+  }
+  if (timed_out || (budget != nullptr && budget->ExceededNow()))
+    acc.stats.timed_out = true;
+  return !acc.stats.timed_out;
+}
+
+RunStats RunStream(ContinuousEngine& engine, const UpdateStream& stream,
+                   const RunConfig& config, ResultAccumulator::Sink sink) {
+  EngineRunScope run(engine, config);
   ResultAccumulator acc;
   acc.sink = std::move(sink);
-  RunStats& stats = acc.stats;
-
   WallTimer total;
-  const size_t window = config.batch_window > 1 ? config.batch_window : 1;
-  if (window == 1) {
-    for (const auto& u : stream.updates()) {
-      if (acc.Absorb(engine.ApplyUpdate(u)) || budget.ExceededNow()) {
-        stats.timed_out = true;
-        break;
-      }
-    }
-  } else {
-    engine.SetBatchThreads(config.batch_threads);
-    const std::vector<EdgeUpdate>& updates = stream.updates();
-    for (size_t pos = 0; pos < updates.size() && !stats.timed_out;) {
-      const size_t n = std::min(window, updates.size() - pos);
-      std::vector<UpdateResult> results = engine.ApplyBatch(&updates[pos], n);
-      for (const UpdateResult& r : results)
-        if (acc.Absorb(r)) stats.timed_out = true;
-      // A short window means the engine dropped the suffix on timeout.
-      if (results.size() < n || budget.ExceededNow()) stats.timed_out = true;
-      pos += n;
-    }
-    engine.SetBatchThreads(1);
+  const std::vector<EdgeUpdate>& updates = stream.updates();
+  for (size_t pos = 0; pos < updates.size(); pos += config.batch_window) {
+    const size_t n = std::min(config.batch_window, updates.size() - pos);
+    if (!ApplyStreamWindow(engine, &updates[pos], n, acc, run.budget())) break;
   }
-  stats.answer_millis = total.ElapsedMillis();
+  acc.stats.answer_millis = total.ElapsedMillis();
   acc.Finish(engine);
-  engine.set_budget(nullptr);
-  return stats;
+  return acc.stats;
 }
 
 MixedRunStats RunMixedStream(ContinuousEngine& engine,
                              const std::vector<StreamEvent>& events,
-                             const RunConfig& config) {
-  GS_CHECK_MSG(config.batch_window >= 1, "batch_window must be >= 1");
-  GS_CHECK_MSG(config.batch_threads >= 1, "batch_threads must be >= 1");
+                             const RunConfig& config,
+                             ResultAccumulator::Sink sink) {
+  EngineRunScope run(engine, config);
+  ResultAccumulator acc;
+  acc.sink = std::move(sink);
   MixedRunStats stats;
-  Budget budget;
-  if (std::isfinite(config.budget_seconds))
-    budget.SetDeadlineAfter(config.budget_seconds);
-  engine.set_budget(&budget);
-  const size_t window = config.batch_window > 1 ? config.batch_window : 1;
-  if (window > 1) engine.SetBatchThreads(config.batch_threads);
-
-  std::unordered_set<QueryId> satisfied;
-  const auto absorb = [&](const UpdateResult& result) {
-    ++stats.updates_applied;
-    stats.new_embeddings += result.new_embeddings;
-    for (QueryId qid : result.triggered) satisfied.insert(qid);
-    return result.timed_out;
+  const auto is_update = [&](size_t k) {
+    return k < events.size() && events[k].kind == StreamEvent::Kind::kUpdate;
   };
 
+  std::vector<EdgeUpdate> window;
   size_t i = 0;
-  while (i < events.size() && !stats.timed_out) {
+  while (i < events.size() && !acc.stats.timed_out) {
     const StreamEvent& ev = events[i];
     if (ev.kind == StreamEvent::Kind::kUpdate) {
-      // One run of consecutive updates, fed in batch windows.
-      size_t j = i;
-      while (j < events.size() && events[j].kind == StreamEvent::Kind::kUpdate) ++j;
+      // One run of consecutive updates, fed in windows up to the next query
+      // event (a barrier).
       WallTimer timer;
-      if (window == 1) {
-        for (; i < j && !stats.timed_out; ++i) {
-          if (absorb(engine.ApplyUpdate(events[i].update)) || budget.ExceededNow())
-            stats.timed_out = true;
-        }
-      } else {
-        std::vector<EdgeUpdate> batch;
-        batch.reserve(std::min(window, j - i));
-        while (i < j && !stats.timed_out) {
-          batch.clear();
-          for (; i < j && batch.size() < window; ++i) batch.push_back(events[i].update);
-          std::vector<UpdateResult> results =
-              engine.ApplyBatch(batch.data(), batch.size());
-          for (const UpdateResult& r : results)
-            if (absorb(r)) stats.timed_out = true;
-          if (results.size() < batch.size() || budget.ExceededNow())
-            stats.timed_out = true;
-        }
+      while (is_update(i) && !acc.stats.timed_out) {
+        window.clear();
+        for (; is_update(i) && window.size() < config.batch_window; ++i)
+          window.push_back(events[i].update);
+        ApplyStreamWindow(engine, window.data(), window.size(), acc,
+                          run.budget());
       }
       stats.answer_millis += timer.ElapsedMillis();
       continue;
@@ -127,13 +138,15 @@ MixedRunStats RunMixedStream(ContinuousEngine& engine,
       ++stats.queries_removed;
     }
     ++i;
-    if (budget.ExceededNow()) stats.timed_out = true;
+    if (run.budget()->ExceededNow()) acc.stats.timed_out = true;
   }
 
-  if (window > 1) engine.SetBatchThreads(1);
-  stats.queries_satisfied = satisfied.size();
-  stats.memory_bytes = engine.MemoryBytes();
-  engine.set_budget(nullptr);
+  acc.Finish(engine);
+  stats.updates_applied = acc.stats.updates_applied;
+  stats.new_embeddings = acc.stats.new_embeddings;
+  stats.queries_satisfied = acc.stats.queries_satisfied;
+  stats.timed_out = acc.stats.timed_out;
+  stats.memory_bytes = acc.stats.memory_bytes;
   return stats;
 }
 

@@ -12,6 +12,10 @@
 
 namespace gstream {
 
+namespace temporal {
+class WindowManager;
+}  // namespace temporal
+
 /// One experiment cell's configuration: how long the engine may run before
 /// the cell is declared timed out (the paper's 24-hour ceiling, scaled), and
 /// how updates are fed to the engine.
@@ -19,11 +23,11 @@ struct RunConfig {
   double budget_seconds = std::numeric_limits<double>::infinity();
 
   /// Updates per `ApplyBatch` window; 1 = classic per-update `ApplyUpdate`,
-  /// > 1 = the window-delta batch pipeline. RunStream rejects 0.
+  /// > 1 = the window-delta batch pipeline. The drivers reject 0.
   size_t batch_window = 1;
 
   /// Worker threads for the engines' sharded batch execution (only
-  /// meaningful with batch_window > 1). RunStream rejects < 1.
+  /// meaningful with batch_window > 1). The drivers reject < 1.
   int batch_threads = 1;
 };
 
@@ -53,11 +57,13 @@ struct IndexStats {
   }
 };
 
-/// Incremental absorber of per-update results with the RunStats bookkeeping,
-/// shared by RunStream, the file-replay ingest pipeline
-/// (src/ingest/pipeline.h), and the socket server (src/server/) so the
-/// paths cannot diverge on what "updates_applied" or "queries_satisfied"
-/// mean.
+/// Incremental absorber of per-update results with the RunStats bookkeeping.
+/// Every path that feeds an engine — RunStream, RunMixedStream (and with it
+/// RunWindowedStream), the bench harness, the file-replay ingest pipeline
+/// (src/ingest/pipeline.h) and the socket server (src/server/) — applies its
+/// windows through ApplyStreamWindow into one of these, so the paths cannot
+/// diverge on how a window is applied, what "updates_applied" or
+/// "queries_satisfied" mean, or when a run times out.
 struct ResultAccumulator {
   /// Notification sink: fires once per absorbed result with the update's
   /// global index among applied updates (0-based; the value of
@@ -69,6 +75,11 @@ struct ResultAccumulator {
 
   RunStats stats;
   std::unordered_set<QueryId> satisfied;
+
+  /// ApplyStreamWindow's expiry splice, reused across windows: the engine
+  /// window (deletions and records) and which of its entries are records.
+  std::vector<EdgeUpdate> spliced;
+  std::vector<uint8_t> spliced_is_record;
 
   /// Folds one update's result in; returns its timed_out flag.
   bool Absorb(const UpdateResult& result) {
@@ -86,6 +97,49 @@ struct ResultAccumulator {
     stats.memory_bytes = engine.MemoryBytes();
   }
 };
+
+/// The run-scoped engine set-up every stream driver shares: installs a time
+/// budget (none when `budget_seconds` is infinite) and, for `batch_threads`
+/// > 1, the shard workers of ApplyBatch; the destructor restores the
+/// engine's defaults (no budget, one thread).
+class EngineRunScope {
+ public:
+  EngineRunScope(ContinuousEngine& engine, double budget_seconds,
+                 int batch_threads);
+  /// RunConfig form: rejects a zero window or thread count (GS_CHECK) and
+  /// starts workers only for batched runs (batch_window > 1).
+  EngineRunScope(ContinuousEngine& engine, const RunConfig& config);
+  ~EngineRunScope();
+
+  EngineRunScope(const EngineRunScope&) = delete;
+  EngineRunScope& operator=(const EngineRunScope&) = delete;
+
+  Budget* budget() { return &budget_; }
+
+ private:
+  ContinuousEngine& engine_;
+  Budget budget_;
+  bool threaded_ = false;
+};
+
+/// The one stream executor: applies the window `records[0..n)` (n >= 1) to
+/// `engine` and absorbs each record's result into `acc`, in order.
+///
+///  * With an enabled `expiry` manager, each record's due expiry deletions
+///    (WindowManager::Advance) are spliced ahead of it in the same engine
+///    window. Deletions never absorb — they never trigger and consume no
+///    record index — so `acc` counts records only; only their timeout flag
+///    is kept. Without one the records reach the engine in place, uncopied.
+///  * An engine window of one update goes through ApplyUpdate, any larger
+///    one through ApplyBatch (deletions inside are the engine's barriers).
+///
+/// Sets `acc.stats.timed_out` when a result timed out, the engine returned
+/// a short window (its budget dropped the suffix), or `budget` (may be
+/// null) has expired; returns false once the run has timed out.
+bool ApplyStreamWindow(ContinuousEngine& engine, const EdgeUpdate* records,
+                       size_t n, ResultAccumulator& acc,
+                       Budget* budget = nullptr,
+                       temporal::WindowManager* expiry = nullptr);
 
 /// Registers `queries` into `engine` with ids `first_qid..`, timing the
 /// indexing phase.
@@ -168,16 +222,17 @@ struct MixedRunStats {
 };
 
 /// Drives `events` through `engine` in order. Consecutive edge updates form
-/// windows of up to `config.batch_window` fed through `ApplyBatch` (query
-/// events are window barriers — the engine API forbids lifecycle calls with
-/// a batch in flight); with the default window of 1 every update goes
-/// through `ApplyUpdate`. Add/remove/answer time is accounted separately.
-/// The budget covers the whole run; on expiry the remaining events are
-/// dropped and `timed_out` is set. Removing an unknown qid is a checked
-/// error (GS_CHECK) — event streams are validated input.
+/// windows of up to `config.batch_window` fed through ApplyStreamWindow
+/// (query events are window barriers — the engine API forbids lifecycle
+/// calls with a batch in flight). Add/remove/answer time is accounted
+/// separately. The budget covers the whole run; on expiry the remaining
+/// events are dropped and `timed_out` is set. `sink`, when set, observes
+/// every per-update result as in RunStream. Removing an unknown qid is a
+/// checked error (GS_CHECK) — event streams are validated input.
 MixedRunStats RunMixedStream(ContinuousEngine& engine,
                              const std::vector<StreamEvent>& events,
-                             const RunConfig& config = {});
+                             const RunConfig& config = {},
+                             ResultAccumulator::Sink sink = nullptr);
 
 }  // namespace gstream
 

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <map>
 #include <mutex>
 #include <thread>
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "engine/budget.h"
 
 namespace gstream {
 namespace ingest {
@@ -113,12 +111,9 @@ IngestStats IngestSession::Replay(ContinuousEngine& engine,
   for (const QuarantineEntry& q : reader_->scan_quarantine())
     AddQuarantine(stats, q);
 
-  Budget budget;
-  if (std::isfinite(opts.budget_seconds))
-    budget.SetDeadlineAfter(opts.budget_seconds);
-  engine.set_budget(&budget);
   const bool batched = opts.batch_window > 1 || opts.window_per_block;
-  if (batched) engine.SetBatchThreads(opts.batch_threads);
+  EngineRunScope run(engine, opts.budget_seconds,
+                     batched ? opts.batch_threads : 1);
 
   BoundedBatchRing ring(opts.ring_capacity);
   std::atomic<size_t> next_block{0};
@@ -184,11 +179,17 @@ IngestStats IngestSession::Replay(ContinuousEngine& engine,
   }
 
   // Apply side (this thread): reassemble block order, fill windows, apply.
+  // acc counts records only, so acc.stats.updates_applied is the next
+  // record's global index. Emission is suppressed over the fast-forward
+  // prefix; a resumed run emits exactly the uninterrupted run's tail.
   ResultAccumulator acc;
+  if (cb)
+    acc.sink = [&](uint64_t index, const UpdateResult& result) {
+      if (index >= resume_offset) cb(index, result);
+    };
   std::map<uint64_t, RecordBatch> pending;  // out-of-order arrivals
   std::vector<EdgeUpdate> window_buf;
   uint64_t next_seq = 0;           // next record-block index to consume
-  uint64_t records_applied = 0;    // == the next record's global index
   bool verified = resume_offset == 0;
   bool stop = false;
 
@@ -197,9 +198,6 @@ IngestStats IngestSession::Replay(ContinuousEngine& engine,
   temporal::WindowManager local_wm(opts.window);
   temporal::WindowManager* wm =
       opts.window_manager != nullptr ? opts.window_manager : &local_wm;
-  const bool windowed = wm->config().enabled();
-  std::vector<EdgeUpdate> exec_buf;   // expiry deletions + records, spliced
-  std::vector<uint8_t> is_record;     // parallel to exec_buf
 
   // Counter + fingerprint cross-check at the resume boundary: the
   // fast-forward just recomputed everything the snapshot recorded, so any
@@ -251,53 +249,18 @@ IngestStats IngestSession::Replay(ContinuousEngine& engine,
   // Applies window_buf[0..n). Returns false when the replay must stop
   // (timeout, failed verification, failed snapshot write).
   const auto apply_window = [&](size_t n) {
-    if (opts.window_begin) opts.window_begin(records_applied);
+    if (opts.window_begin) opts.window_begin(acc.stats.updates_applied);
     WallTimer timer;
-    std::vector<UpdateResult> results;
-    size_t exec_n = n;
-    if (windowed) {
-      // Splice each record's due expiry deletions ahead of it, inside the
-      // same batch window (deletions are ApplyBatch barriers, so the result
-      // is byte-identical to an explicit-deletion stream at any window
-      // size). Internal deletions never absorb into the record accounting.
-      exec_buf.clear();
-      is_record.clear();
-      for (size_t i = 0; i < n; ++i) {
-        wm->Advance(window_buf[i], exec_buf);
-        is_record.resize(exec_buf.size(), 0);
-        exec_buf.push_back(window_buf[i]);
-        is_record.push_back(1);
-      }
-      exec_n = exec_buf.size();
-      results = engine.ApplyBatch(exec_buf.data(), exec_n);
-    } else {
-      results = engine.ApplyBatch(window_buf.data(), n);
-    }
+    ApplyStreamWindow(engine, window_buf.data(), n, acc, run.budget(), wm);
     acc.stats.answer_millis += timer.ElapsedMillis();
-    for (size_t k = 0; k < results.size(); ++k) {
-      const UpdateResult& r = results[k];
-      if (windowed && is_record[k] == 0) {
-        // Internal expiry deletion: never triggers (deletions retract), so
-        // only its timeout flag matters for the run accounting.
-        if (r.timed_out) acc.stats.timed_out = true;
-        continue;
-      }
-      const uint64_t idx = records_applied++;
-      if (acc.Absorb(r)) acc.stats.timed_out = true;
-      // Emission is suppressed over the fast-forward prefix; a resumed run
-      // emits exactly the uninterrupted run's tail.
-      if (cb && idx >= resume_offset) cb(idx, r);
-    }
-    if (results.size() < exec_n || budget.ExceededNow())
-      acc.stats.timed_out = true;
     window_buf.erase(window_buf.begin(), window_buf.begin() + n);
     ++stats.windows_finalized;
 
     if (!verified && !acc.stats.timed_out) {
-      if (records_applied == resume_offset) {
+      if (acc.stats.updates_applied == resume_offset) {
         if (!verify_boundary()) return false;
         verified = true;
-      } else if (records_applied > resume_offset) {
+      } else if (acc.stats.updates_applied > resume_offset) {
         fail("resume offset " + std::to_string(resume_offset) +
              " is not a window boundary of this run (different batch window "
              "or stream than the snapshotted run)");
@@ -307,11 +270,11 @@ IngestStats IngestSession::Replay(ContinuousEngine& engine,
 
     if (!acc.stats.timed_out && opts.snapshot_every_windows > 0 &&
         stats.windows_finalized % opts.snapshot_every_windows == 0 &&
-        records_applied > resume_offset) {
+        acc.stats.updates_applied > resume_offset) {
       SnapshotData snap;
       snap.stream = identity();
       snap.engine_name = engine.name();
-      snap.record_offset = records_applied;
+      snap.record_offset = acc.stats.updates_applied;
       snap.windows_finalized = stats.windows_finalized;
       snap.updates_applied = acc.stats.updates_applied;
       snap.new_embeddings = acc.stats.new_embeddings;
@@ -384,9 +347,6 @@ IngestStats IngestSession::Replay(ContinuousEngine& engine,
     stop = true;
   ring.Abort();  // releases any producer still blocked on a full ring
   for (std::thread& t : threads) t.join();
-
-  engine.set_budget(nullptr);
-  if (batched) engine.SetBatchThreads(1);
 
   acc.Finish(engine);
   stats.run = acc.stats;

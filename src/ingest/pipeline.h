@@ -144,8 +144,9 @@ class IngestSession {
 
   /// Streams the file's records through `engine`: N reader threads decode
   /// blocks into the bounded ring, the calling thread reassembles stream
-  /// order and applies windows (ApplyBatch — byte-identical to sequential
-  /// execution), finalizing snapshots at the configured cadence. `cb`, when
+  /// order and applies windows through ApplyStreamWindow (engine/driver.h;
+  /// byte-identical to sequential execution), finalizing snapshots at the
+  /// configured cadence. `cb`, when
   /// set, fires once per applied record in stream order.
   IngestStats Replay(ContinuousEngine& engine, const IngestOptions& opts,
                      const ResultCallback& cb = nullptr);

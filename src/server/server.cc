@@ -1049,34 +1049,16 @@ void Server::ApplyWindow(std::vector<EdgeUpdate>& window,
       journal_dict_synced_ += static_cast<uint32_t>(delta.size());
     }
   }
-  if (window_mgr_->config().enabled()) {
-    // Splice each record's due expiry deletions ahead of it in the same
-    // engine window (the journal above stores original records only —
-    // expiry is event-time deterministic, so recovery re-derives it).
-    // Deletions never trigger notifications and never consume record
-    // indexes: the notification/resume index space stays in record terms.
-    exec_buf_.clear();
-    std::vector<uint8_t> is_record;
-    for (size_t i = 0; i < n; ++i) {
-      window_mgr_->Advance(window[i], exec_buf_);
-      is_record.resize(exec_buf_.size(), 0);
-      exec_buf_.push_back(window[i]);
-      is_record.push_back(1);
-    }
-    const std::vector<UpdateResult> results =
-        engine_->ApplyBatch(exec_buf_.data(), exec_buf_.size());
-    for (size_t k = 0; k < results.size(); ++k)
-      if (is_record[k] != 0) acc_.Absorb(results[k]);
-    expired_edges_.store(window_mgr_->expired_edges(),
-                         std::memory_order_relaxed);
-    expiry_batches_.store(window_mgr_->expiry_batches(),
-                          std::memory_order_relaxed);
-    live_edges_.store(window_mgr_->live_edges(), std::memory_order_relaxed);
-  } else {
-    const std::vector<UpdateResult> results =
-        engine_->ApplyBatch(window.data(), n);
-    for (const UpdateResult& r : results) acc_.Absorb(r);
-  }
+  // Expiry deletions are spliced into the same engine window (the journal
+  // above stores original records only — expiry is event-time deterministic,
+  // so recovery re-derives it); they never notify and never consume record
+  // indexes, so the notification/resume index space stays in record terms.
+  ApplyStreamWindow(*engine_, window.data(), n, acc_, nullptr,
+                    window_mgr_.get());
+  expired_edges_.store(window_mgr_->expired_edges(), std::memory_order_relaxed);
+  expiry_batches_.store(window_mgr_->expiry_batches(),
+                        std::memory_order_relaxed);
+  live_edges_.store(window_mgr_->live_edges(), std::memory_order_relaxed);
   applied_records_.store(acc_.stats.updates_applied, std::memory_order_relaxed);
   windows_finalized_.fetch_add(1, std::memory_order_relaxed);
 

@@ -190,7 +190,6 @@ class Server {
   /// the apply thread exists). Counters are mirrored into atomics for
   /// stats() readers.
   std::unique_ptr<temporal::WindowManager> window_mgr_;
-  std::vector<EdgeUpdate> exec_buf_;  ///< Expiry splice scratch.
   std::atomic<uint64_t> expired_edges_{0};
   std::atomic<uint64_t> expiry_batches_{0};
   std::atomic<uint64_t> live_edges_{0};

@@ -1,12 +1,10 @@
 #include "time/windowed_stream.h"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "common/timer.h"
 
 namespace gstream {
 namespace temporal {
@@ -22,88 +20,6 @@ struct QueryExpiry {
     return expiry != o.expiry ? expiry > o.expiry : qid > o.qid;
   }
 };
-
-/// RunMixedStream's execution discipline (consecutive updates batched into
-/// `config.batch_window` windows, query events as barriers) over an already
-/// expanded stream, with the ResultAccumulator sink observing every
-/// per-update result. Kept here rather than generalizing RunMixedStream so
-/// the plain driver keeps its exact shape (and its callers their exact
-/// costs).
-MixedRunStats ExecuteExpanded(ContinuousEngine& engine,
-                              const std::vector<StreamEvent>& events,
-                              const RunConfig& config,
-                              ResultAccumulator::Sink sink) {
-  GS_CHECK_MSG(config.batch_window >= 1, "batch_window must be >= 1");
-  GS_CHECK_MSG(config.batch_threads >= 1, "batch_threads must be >= 1");
-  MixedRunStats stats;
-  Budget budget;
-  if (std::isfinite(config.budget_seconds))
-    budget.SetDeadlineAfter(config.budget_seconds);
-  engine.set_budget(&budget);
-  const size_t window = config.batch_window > 1 ? config.batch_window : 1;
-  if (window > 1) engine.SetBatchThreads(config.batch_threads);
-
-  ResultAccumulator acc;
-  acc.sink = std::move(sink);
-
-  size_t i = 0;
-  while (i < events.size() && !stats.timed_out) {
-    const StreamEvent& ev = events[i];
-    if (ev.kind == StreamEvent::Kind::kUpdate) {
-      size_t j = i;
-      while (j < events.size() && events[j].kind == StreamEvent::Kind::kUpdate)
-        ++j;
-      WallTimer timer;
-      if (window == 1) {
-        for (; i < j && !stats.timed_out; ++i) {
-          if (acc.Absorb(engine.ApplyUpdate(events[i].update)) ||
-              budget.ExceededNow())
-            stats.timed_out = true;
-        }
-      } else {
-        std::vector<EdgeUpdate> batch;
-        batch.reserve(std::min(window, j - i));
-        while (i < j && !stats.timed_out) {
-          batch.clear();
-          for (; i < j && batch.size() < window; ++i)
-            batch.push_back(events[i].update);
-          std::vector<UpdateResult> results =
-              engine.ApplyBatch(batch.data(), batch.size());
-          for (const UpdateResult& r : results)
-            if (acc.Absorb(r)) stats.timed_out = true;
-          if (results.size() < batch.size() || budget.ExceededNow())
-            stats.timed_out = true;
-        }
-      }
-      stats.answer_millis += timer.ElapsedMillis();
-      continue;
-    }
-
-    if (ev.kind == StreamEvent::Kind::kAddQuery) {
-      WallTimer timer;
-      engine.AddQuery(ev.qid, ev.query);
-      stats.index_millis += timer.ElapsedMillis();
-      ++stats.queries_added;
-    } else {
-      WallTimer timer;
-      GS_CHECK_MSG(engine.RemoveQuery(ev.qid),
-                   "RunWindowedStream: removing unknown query id " +
-                       std::to_string(ev.qid));
-      stats.remove_millis += timer.ElapsedMillis();
-      ++stats.queries_removed;
-    }
-    ++i;
-    if (budget.ExceededNow()) stats.timed_out = true;
-  }
-
-  if (window > 1) engine.SetBatchThreads(1);
-  stats.updates_applied = acc.stats.updates_applied;
-  stats.new_embeddings = acc.stats.new_embeddings;
-  stats.queries_satisfied = acc.satisfied.size();
-  stats.memory_bytes = engine.MemoryBytes();
-  engine.set_budget(nullptr);
-  return stats;
-}
 
 }  // namespace
 
@@ -189,7 +105,7 @@ WindowedRunStats RunWindowedStream(ContinuousEngine& engine,
   stats.expired_queries = oracle.expired_queries;
   stats.live_edges = oracle.live_edges;
   stats.watermark = oracle.watermark;
-  stats.mixed = ExecuteExpanded(engine, oracle.events, config, std::move(sink));
+  stats.mixed = RunMixedStream(engine, oracle.events, config, std::move(sink));
   return stats;
 }
 

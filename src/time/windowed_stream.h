@@ -60,8 +60,8 @@ struct WindowedRunStats {
 };
 
 /// Drives `events` through `engine` with sliding-window expiry and TTL'd
-/// queries: materializes the expiry oracle, then executes the expanded
-/// stream exactly as RunMixedStream would (consecutive updates batched into
+/// queries: materializes the expiry oracle, then runs the expanded stream
+/// through RunMixedStream (consecutive updates batched into
 /// `config.batch_window` windows, query events as barriers), with `sink`
 /// observing every per-update result. A run under `WindowPolicy::kNone` on
 /// a pre-expanded stream is therefore the explicit-deletion oracle itself —

@@ -503,10 +503,21 @@ TEST(ChurnDirected, RunMixedStreamReportsPhasesAndMatchesRunStream) {
                    UpdateOp::kAdd});
   }
 
+  // Both drivers report through the same accumulator sink: the mixed run
+  // must emit RunStream's exact (index, per_query) sequence.
+  using Emissions =
+      std::vector<std::pair<uint64_t, std::vector<std::pair<QueryId, uint64_t>>>>;
+  const auto capture = [](Emissions& out) {
+    return [&out](uint64_t index, const UpdateResult& r) {
+      out.emplace_back(index, r.per_query);
+    };
+  };
+
   for (EngineKind kind : {EngineKind::kTricPlus, EngineKind::kInc}) {
     auto plain = CreateEngine(kind);
     plain->AddQuery(0, q);
-    RunStats want = RunStream(*plain, stream);
+    Emissions want_seq;
+    RunStats want = RunStream(*plain, stream, {}, capture(want_seq));
 
     std::vector<StreamEvent> events;
     events.push_back(StreamEvent::Add(0, q));
@@ -521,6 +532,14 @@ TEST(ChurnDirected, RunMixedStreamReportsPhasesAndMatchesRunStream) {
     EXPECT_EQ(got.queries_added, 1u);
     EXPECT_EQ(got.queries_removed, 0u);
     EXPECT_FALSE(got.timed_out);
+    for (size_t window : {size_t{1}, size_t{16}}) {
+      RunConfig config;
+      config.batch_window = window;
+      auto sunk = CreateEngine(kind);
+      Emissions got_seq;
+      RunMixedStream(*sunk, events, config, capture(got_seq));
+      EXPECT_EQ(got_seq, want_seq) << "batch_window " << window;
+    }
 
     // And batched mixed runs agree with sequential mixed runs.
     std::vector<StreamEvent> churny = events;

@@ -130,7 +130,7 @@ TEST(MemTracker, AggregatesComponents) {
 TEST(Flags, ParsesKeyValueAndSwitches) {
   const char* argv[] = {"bin", "--edges=5000", "--full", "--name=snb", "pos1"};
   Flags flags = Flags::Parse(5, const_cast<char**>(argv));
-  EXPECT_EQ(flags.GetInt("edges", 0), 5000);
+  EXPECT_EQ(flags.GetIntAtLeast("edges", 0, 0), 5000);
   EXPECT_TRUE(flags.GetBool("full", false));
   EXPECT_EQ(flags.GetString("name", ""), "snb");
   EXPECT_FALSE(flags.Has("missing"));
@@ -141,7 +141,7 @@ TEST(Flags, ParsesKeyValueAndSwitches) {
 TEST(Flags, DefaultsWhenAbsent) {
   const char* argv[] = {"bin"};
   Flags flags = Flags::Parse(1, const_cast<char**>(argv));
-  EXPECT_EQ(flags.GetInt("n", 42), 42);
+  EXPECT_EQ(flags.GetIntAtLeast("n", 42, 0), 42);
   EXPECT_DOUBLE_EQ(flags.GetDouble("sigma", 0.25), 0.25);
   EXPECT_FALSE(flags.GetBool("full", false));
 }
@@ -163,6 +163,17 @@ TEST(FlagsDeathTest, GetPositiveIntRejectsZeroNegativeAndJunk) {
               "--threads must be >= 1");
   EXPECT_EXIT(flags.GetPositiveInt("seed", 1), ::testing::ExitedWithCode(2),
               "expected an integer");
+}
+
+TEST(FlagsDeathTest, GetIntAtLeastRejectsNegativeAndJunkSeeds) {
+  // `--seed=-1` used to wrap to 2^64-1 and `--seed=abc` to parse as 0.
+  const char* argv[] = {"bin", "--seed=-1", "--fault-seed=abc", "--zero=0"};
+  Flags flags = Flags::Parse(4, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetIntAtLeast("zero", 5, 0), 0);
+  EXPECT_EXIT(flags.GetIntAtLeast("seed", 42, 0), ::testing::ExitedWithCode(2),
+              "--seed must be >= 0");
+  EXPECT_EXIT(flags.GetIntAtLeast("fault-seed", 1, 0),
+              ::testing::ExitedWithCode(2), "expected an integer");
 }
 
 TEST(FlagsDeathTest, RejectsDuplicateFlags) {

@@ -47,22 +47,46 @@ TEST(Driver, RunStreamAppliesEverythingWithoutBudget) {
 
 TEST(Driver, BudgetStopsLongRuns) {
   StringInterner in;
-  auto engine = CreateEngine(EngineKind::kNaive);  // slowest engine
   // Several chain queries over one label: per-update naive recount.
-  for (QueryId q = 0; q < 8; ++q)
-    engine->AddQuery(
-        q, ParsePattern("(?a)-[r]->(?b); (?b)-[r]->(?c); (?c)-[r]->(?d)", in).pattern);
+  const QueryPattern chain =
+      ParsePattern("(?a)-[r]->(?b); (?b)-[r]->(?c); (?c)-[r]->(?d)", in).pattern;
   UpdateStream stream;
   LabelId r = in.Intern("r");
   // Dense-ish graph so the oracle has real work per update.
   for (uint32_t i = 0; i < 60; ++i)
     for (uint32_t j = 0; j < 60; ++j)
       if (i != j) stream.Append({i, r, j, UpdateOp::kAdd});
-  RunConfig config;
-  config.budget_seconds = 0.05;
-  RunStats stats = RunStream(*engine, stream, config);
-  EXPECT_TRUE(stats.timed_out);
-  EXPECT_LT(stats.updates_applied, stream.size());
+  const auto make_engine = [&] {
+    auto engine = CreateEngine(EngineKind::kNaive);  // slowest engine
+    for (QueryId q = 0; q < 8; ++q) engine->AddQuery(q, chain);
+    return engine;
+  };
+  // Once the budget trips no later event runs: the trailing registration
+  // after the updates must not reach the engine.
+  constexpr QueryId kLate = 100;
+  std::vector<StreamEvent> events;
+  for (const EdgeUpdate& u : stream.updates())
+    events.push_back(StreamEvent::Update(u));
+  events.push_back(StreamEvent::Add(kLate, chain));
+
+  for (size_t window : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("batch_window " + std::to_string(window));
+    RunConfig config;
+    config.budget_seconds = 0.05;
+    config.batch_window = window;
+
+    auto engine = make_engine();
+    RunStats stats = RunStream(*engine, stream, config);
+    EXPECT_TRUE(stats.timed_out);
+    EXPECT_LT(stats.updates_applied, stream.size());
+
+    auto mixed_engine = make_engine();
+    MixedRunStats mixed = RunMixedStream(*mixed_engine, events, config);
+    EXPECT_TRUE(mixed.timed_out);
+    EXPECT_LT(mixed.updates_applied, stream.size());
+    EXPECT_EQ(mixed.queries_added, 0u);
+    EXPECT_FALSE(mixed_engine->HasQuery(kLate));
+  }
 }
 
 TEST(Driver, SatisfiedQueriesMatchSigma) {

@@ -16,6 +16,7 @@
 #include "server/net.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "time/windowed_stream.h"
 #include "workload/snb.h"
 
 namespace gstream {
@@ -164,6 +165,77 @@ TEST(ServerLoopback, NotificationsMatchRunStreamOracle) {
   EXPECT_EQ(stats.records_applied, w.stream.size());
   EXPECT_EQ(stats.notifications_shed, 0u);
   EXPECT_EQ(stats.notifications_produced, stats.notifications_delivered);
+}
+
+TEST(ServerLoopback, WindowedServerMatchesWindowedDriverOracle) {
+  // The server splices each record's due expiry deletions into the window it
+  // applies; RunWindowedStream materializes the same deletions as explicit
+  // stream events. Event time steps by 10 every 20 records against a width
+  // of 100 and windows of 16 records, so whole ticks expire at once, at
+  // positions that fall both at window starts and mid-window.
+  workload::Workload w = MakeWorkload(900);
+  std::vector<StreamEvent> events;
+  for (size_t i = 0; i < w.stream.size(); ++i) {
+    EdgeUpdate u = w.stream[i];
+    u.ts = (i / 20) * 10 + (i % 20 == 19 ? 25 : 0);
+    events.push_back(StreamEvent::Update(u));
+  }
+  std::vector<EdgeUpdate> records;
+  for (const StreamEvent& ev : events) records.push_back(ev.update);
+  temporal::WindowConfig window;
+  window.policy = temporal::WindowPolicy::kTime;
+  window.width = 100;
+
+  ServerOptions opts = FastServerOptions();
+  opts.window = window;
+  Server server(opts);
+  std::string err;
+  ASSERT_TRUE(server.Start(&err)) << err;
+  Client client(ClientOptionsFor(server));
+  Collector collector;
+  collector.Bind(client);
+  ASSERT_TRUE(client.Connect(&err)) << err;
+  SubscribeAll(client);
+  client.SetDictionary(DictOf(*w.interner));
+  ASSERT_TRUE(client.StreamEdges(records, &err)) << err;
+  ASSERT_TRUE(client.WaitApplied(records.size(), &err)) << err;
+  client.Close();
+  server.Drain();
+
+  // The oracle's sink counts the spliced deletions among its indexes; the
+  // server's notifications count records only. Map one onto the other.
+  const temporal::ExpiryOracle expanded =
+      temporal::MaterializeExpiryOracle(events, window);
+  std::vector<int64_t> record_of;
+  int64_t next_record = 0;
+  for (uint8_t synthetic : expanded.synthetic)
+    record_of.push_back(synthetic != 0 ? -1 : next_record++);
+  ASSERT_EQ(static_cast<size_t>(next_record), records.size());
+
+  auto engine = CreateEngine(EngineKind::kTricPlus);
+  for (uint32_t i = 0; i < kNumPatterns; ++i)
+    engine->AddQuery(i, ParsePattern(kPatterns[i], *w.interner).pattern);
+  NotifySeq oracle;
+  const temporal::WindowedRunStats want = temporal::RunWindowedStream(
+      *engine, events, window, {},
+      [&](uint64_t index, const UpdateResult& r) {
+        if (r.per_query.empty()) return;
+        ASSERT_GE(record_of[index], 0) << "an expiry deletion notified";
+        auto& counts = oracle[static_cast<uint64_t>(record_of[index])];
+        for (const auto& [qid, n] : r.per_query)
+          counts.emplace_back(static_cast<uint32_t>(qid), n);
+      });
+  ASSERT_GT(want.expired_edges, 0u);
+  ASSERT_GT(want.expiry_batches, 1u);
+  ASSERT_GT(want.live_edges, 0u);
+
+  EXPECT_FALSE(oracle.empty()) << "workload produced no matches at all";
+  EXPECT_EQ(collector.Take(), oracle);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.records_applied, records.size());
+  EXPECT_EQ(stats.expired_edges, want.expired_edges);
+  EXPECT_EQ(stats.expiry_batches, want.expiry_batches);
+  EXPECT_EQ(stats.live_edges, want.live_edges);
 }
 
 /// Raw-socket helper: handshake as `name`, optionally subscribing to the

@@ -77,7 +77,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "common/timer.h"
 #include "engine/driver.h"
 #include "engine/engine.h"
 #include "ingest/csv_stream.h"
@@ -457,8 +456,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string dataset = flags.GetString("dataset", "snb");
-  const size_t updates = static_cast<size_t>(flags.GetInt("updates", 20'000));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const size_t updates =
+      static_cast<size_t>(flags.GetPositiveInt("updates", 20'000));
+  const uint64_t seed =
+      static_cast<uint64_t>(flags.GetIntAtLeast("seed", 42, 0));
   const bool verbose = flags.GetBool("verbose", false);
   // Rejects 0/negative/non-numeric values with a clear error (exit 2).
   const size_t batch = static_cast<size_t>(flags.GetPositiveInt("batch", 1));
@@ -582,12 +583,10 @@ int main(int argc, char** argv) {
   if (batch > 1) {
     std::printf("execution: window-delta batch (window=%zu threads=%d)\n",
                 batch, threads);
-    engine->SetBatchThreads(threads);
   } else {
     std::printf("execution: per-update (batch=1 threads=1)\n");
   }
 
-  WallTimer timer;
   uint64_t notifications = 0;
   size_t triggering_updates = 0;
   const auto report = [&](size_t i, const UpdateResult& r) {
@@ -605,29 +604,22 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
   };
-  if (batch <= 1) {
-    for (size_t i = 0; i < w.stream.size(); ++i)
-      report(i, engine->ApplyUpdate(w.stream[i]));
-  } else {
-    const auto& updates = w.stream.updates();
-    for (size_t pos = 0; pos < updates.size(); pos += batch) {
-      const size_t n = std::min(batch, updates.size() - pos);
-      std::vector<UpdateResult> results = engine->ApplyBatch(&updates[pos], n);
-      for (size_t k = 0; k < results.size(); ++k) report(pos + k, results[k]);
-    }
-  }
-  const double ms = timer.ElapsedMillis();
+  RunConfig config;
+  config.batch_window = batch;
+  config.batch_threads = threads;
+  const RunStats stats = RunStream(*engine, w.stream, config, report);
+  const double ms = stats.answer_millis;
   std::printf(
       "%zu updates in %.1f ms (%.4f ms/update); %zu updates triggered, "
       "%llu notifications; %llu final-join passes (%llu shared across "
       "queries); %llu routed candidates, %llu prefilter rejects; "
       "%.1f MB engine state\n",
-      w.stream.size(), ms, ms / w.stream.size(), triggering_updates,
+      stats.updates_applied, ms, stats.MsecPerUpdate(), triggering_updates,
       static_cast<unsigned long long>(notifications),
       static_cast<unsigned long long>(engine->final_join_passes()),
       static_cast<unsigned long long>(engine->shared_finalize_groups()),
       static_cast<unsigned long long>(engine->routed_candidates()),
       static_cast<unsigned long long>(engine->prefilter_rejects()),
-      static_cast<double>(engine->MemoryBytes()) / (1024.0 * 1024.0));
+      static_cast<double>(stats.memory_bytes) / (1024.0 * 1024.0));
   return 0;
 }

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
        "fault-delay", "fault-delay-micros", "fault-resets", "fault-seed",
        "heartbeat-millis", "timeout-millis", "max-reconnects"},
       usage);
-  const int port = static_cast<int>(flags.GetInt("port", 0));
+  const int port = static_cast<int>(flags.GetIntAtLeast("port", 0, 0));
   if (port <= 0) {
     std::fprintf(stderr, "%s\n", usage);
     return 2;
@@ -74,7 +74,8 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetIntAtLeast("fault-delay-micros", 1000, 0));
   opts.faults.handshake_resets =
       static_cast<uint32_t>(flags.GetIntAtLeast("fault-resets", 0, 0));
-  opts.fault_seed = static_cast<uint64_t>(flags.GetInt("fault-seed", 1));
+  opts.fault_seed =
+      static_cast<uint64_t>(flags.GetIntAtLeast("fault-seed", 1, 0));
 
   server::Client client(opts);
   uint64_t notify_count = 0;
@@ -134,7 +135,7 @@ int main(int argc, char** argv) {
   } else if (flags.Has("dataset") || flags.Has("updates")) {
     workload::SnbConfig c;
     c.num_updates = static_cast<size_t>(flags.GetPositiveInt("updates", 10000));
-    c.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+    c.seed = static_cast<uint64_t>(flags.GetIntAtLeast("seed", 42, 0));
     workload::Workload w = workload::GenerateSnb(c);
     interner = w.interner;
     stream = w.stream;

@@ -72,8 +72,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string dataset = flags.GetString("dataset", "snb");
-  const size_t updates = static_cast<size_t>(flags.GetInt("updates", 20'000));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const size_t updates =
+      static_cast<size_t>(flags.GetPositiveInt("updates", 20'000));
+  const uint64_t seed =
+      static_cast<uint64_t>(flags.GetIntAtLeast("seed", 42, 0));
 
   ingest::GsbWriterOptions options;
   options.records_per_block =
